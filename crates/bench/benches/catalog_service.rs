@@ -1,5 +1,5 @@
-//! Serving-architecture benchmarks: catalog persistence and the batch
-//! estimation service.
+//! Serving-architecture benchmarks: catalog persistence and batched
+//! snapshot estimation.
 //!
 //! * `catalog_load` — cold rebuild (parse + classify + shard build +
 //!   merge via `Database::load_documents`) versus `Database::open_catalog`
@@ -8,8 +8,8 @@
 //!   catalog open ≥ 5× faster than cold rebuild at ≥ 8 documents.
 //! * `service_batch` — a batch of repeated path queries served one at a
 //!   time through `Database::estimate` versus drained through
-//!   `EstimationService::estimate_batch` (parsed-twig cache + pooled
-//!   workspaces + rayon fan-out), per batch size.
+//!   `Snapshot::estimate_batch` (one resolve and one kernel run per
+//!   distinct string, fanned back to every slot), per batch size.
 //!
 //! Run with `XMLEST_BENCH_JSON=BENCH_catalog.json cargo bench --bench
 //! catalog_service` to capture the numbers (CI does).
@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xmlest_core::SummaryConfig;
 use xmlest_datagen::dblp::{generate as gen_dblp, DblpOptions};
-use xmlest_engine::{Database, TwigRef};
+use xmlest_engine::Database;
 use xmlest_xml::serialize::{to_xml_string, WriteOptions};
 
 /// A collection of `n` distinct DBLP-shaped documents (~1.4k nodes
@@ -86,12 +86,6 @@ fn bench_service_batch(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("service_batch");
     for batch_size in [64usize, 256, 1024] {
-        let batch: Vec<TwigRef> = paths
-            .iter()
-            .cycle()
-            .take(batch_size)
-            .map(|&p| TwigRef::Path(p))
-            .collect();
         let path_batch: Vec<&str> = paths.iter().cycle().take(batch_size).copied().collect();
 
         group.bench_with_input(
@@ -107,13 +101,14 @@ fn bench_service_batch(c: &mut Criterion) {
                 })
             },
         );
-        let svc = db.service();
+        let snapshot = db.snapshot();
         group.bench_with_input(
             BenchmarkId::new("service_batch", batch_size),
             &batch_size,
             |b, _| {
                 b.iter(|| {
-                    svc.estimate_batch(black_box(&batch))
+                    snapshot
+                        .estimate_batch(black_box(&path_batch))
                         .into_iter()
                         .map(|r| r.unwrap().value)
                         .sum::<f64>()

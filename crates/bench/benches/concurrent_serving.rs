@@ -1,7 +1,7 @@
 //! Concurrent serving latency: wait-free snapshot reads under live
-//! maintenance, direct versus admission-batched.
+//! maintenance.
 //!
-//! Four scenarios over the same 8-document DBLP collection and query
+//! Two scenarios over the same 8-document DBLP collection and query
 //! mix, each reporting per-operation p50/p99 (hand-rolled — the
 //! criterion shim reports medians only, and the acceptance bar here is
 //! a tail-latency ratio):
@@ -9,17 +9,14 @@
 //! * `read_only/direct` — reader threads call
 //!   `SnapshotCell::current()` + `Snapshot::estimate_with` with no
 //!   writer anywhere. The wait-free baseline.
-//! * `read_only/queued` — the same reads admitted through
-//!   [`AdmissionFront`] (bounded queue, coalesced batches).
-//! * `mixed/direct` — the direct readers again, now racing a
+//! * `mixed/direct` — the same readers, now racing a
 //!   [`MaintenanceWorker`] that appends, removes and refreshes in a
 //!   loop. The serving contract says the writer never blocks readers,
 //!   so mixed p99 must stay within 2× of the read-only p99.
-//! * `mixed/queued` — the admission front under the same write load.
 //!
-//! Before timing anything the harness checks that the queued and
-//! direct paths return bit-identical estimates on a quiescent
-//! database.
+//! Before and after timing, the harness checks that snapshot reads are
+//! bit-identical to the maintenance thread's own single-threaded probe
+//! on a quiescent database.
 //!
 //! Run with `XMLEST_BENCH_JSON=BENCH_concurrency.json cargo bench
 //! --bench concurrent_serving` to capture the numbers (CI does, with
@@ -32,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xmlest_core::{SummaryConfig, TwigWorkspace};
 use xmlest_datagen::dblp::{generate as gen_dblp, DblpOptions};
-use xmlest_engine::{AdmissionFront, AdmissionOptions, Database, MaintenanceWorker, SnapshotCell};
+use xmlest_engine::{Database, MaintenanceWorker, SnapshotCell};
 use xmlest_xml::serialize::{to_xml_string, WriteOptions};
 
 /// The query mix every scenario serves, round-robin per reader.
@@ -132,31 +129,6 @@ fn direct_readers(serving: &Arc<SnapshotCell>, ops: usize) -> Vec<u64> {
     })
 }
 
-/// Same readers, but every estimate goes through the admission queue.
-fn queued_readers(front: &AdmissionFront, ops: usize) -> Vec<u64> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..READERS)
-            .map(|r| {
-                s.spawn(move || {
-                    let mut lat = Vec::with_capacity(ops);
-                    for i in 0..ops {
-                        let path = PATHS[(r + i) % PATHS.len()];
-                        let start = Instant::now();
-                        let est = front.estimate(path).expect("queued estimate");
-                        lat.push(start.elapsed().as_nanos() as u64);
-                        black_box(est.value);
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("reader thread"))
-            .collect()
-    })
-}
-
 /// Runs `body` while a mutator thread drives the maintenance worker in
 /// a loop (append a scratch document, remove it, refresh), returning
 /// `body`'s latencies plus the number of mutations that landed.
@@ -197,18 +169,19 @@ where
     (lat, mutations.load(Ordering::Relaxed))
 }
 
-/// Queued and direct serving must agree bit-for-bit on a quiescent
-/// database — the queue batches and reorders, it never re-derives.
-fn assert_bit_identical(front: &AdmissionFront, serving: &SnapshotCell) {
+/// Snapshot reads must agree bit-for-bit with the maintenance thread's
+/// single-threaded probe on a quiescent database.
+fn assert_bit_identical(worker: &MaintenanceWorker, serving: &SnapshotCell) {
     let snap = serving.current();
+    let (epoch, probed) = worker.probe(&PATHS).expect("probe");
+    assert_eq!(epoch, snap.epoch(), "database is quiescent");
     let mut ws = TwigWorkspace::new();
-    for path in PATHS {
+    for (path, oracle) in PATHS.iter().zip(probed) {
         let direct = snap.estimate_with(&mut ws, path).expect("direct estimate");
-        let queued = front.estimate(path).expect("queued estimate");
         assert_eq!(
-            queued.value.to_bits(),
             direct.value.to_bits(),
-            "queued estimate for {path} diverged from the published snapshot"
+            oracle.expect("probe estimate").value.to_bits(),
+            "snapshot estimate for {path} diverged from the maintenance thread"
         );
     }
 }
@@ -225,26 +198,17 @@ fn main() {
     }
     let worker = MaintenanceWorker::spawn(db);
     let serving = worker.serving();
-    let front = AdmissionFront::new(serving.clone(), AdmissionOptions::default());
 
-    assert_bit_identical(&front, &serving);
+    assert_bit_identical(&worker, &serving);
 
     let read_only_direct = Row::new("read_only/direct", direct_readers(&serving, ops));
-    let read_only_queued = Row::new("read_only/queued", queued_readers(&front, ops));
     let (lat, landed) = under_write_load(&worker, || direct_readers(&serving, ops));
     let mixed_direct = Row::new("mixed/direct", lat);
-    let (lat, landed_q) = under_write_load(&worker, || queued_readers(&front, ops));
-    let mixed_queued = Row::new("mixed/queued", lat);
 
     // Quiescent again after the write load: still bit-identical.
-    assert_bit_identical(&front, &serving);
+    assert_bit_identical(&worker, &serving);
 
-    let rows = [
-        read_only_direct,
-        read_only_queued,
-        mixed_direct,
-        mixed_queued,
-    ];
+    let rows = [read_only_direct, mixed_direct];
     for row in &rows {
         eprintln!(
             "concurrent_serving/{}: p50 {} ns, p99 {} ns, mean {:.1} ns ({} samples)",
@@ -255,8 +219,8 @@ fn main() {
             row.sorted_ns.len()
         );
     }
-    eprintln!("write load: {landed} mutations landed (direct run), {landed_q} (queued run)");
-    let ratio = rows[2].percentile(0.99) as f64 / rows[0].percentile(0.99).max(1) as f64;
+    eprintln!("write load: {landed} mutations landed");
+    let ratio = rows[1].percentile(0.99) as f64 / rows[0].percentile(0.99).max(1) as f64;
     eprintln!("mixed/direct p99 is {ratio:.2}x read_only/direct p99 (bar: 2.0x)");
 
     if let Ok(path) = std::env::var("XMLEST_BENCH_JSON") {

@@ -122,7 +122,7 @@ fn bench_delta_append(c: &mut Criterion) {
                 db.remove_document("extra.xml").unwrap();
             })
         });
-        let s = db.maintenance_stats();
+        let s = db.telemetry().maintenance;
         assert_eq!(s.grid_moves, 0, "stable loop must never move the grid");
         eprintln!(
             "delta_append/{n}: stable_appends {} stable_removes {} drift {:.4}",
@@ -152,7 +152,7 @@ fn bench_scoped_refresh(c: &mut Criterion) {
             b.iter(|| full.refresh_grid_full().unwrap())
         });
 
-        let s = scoped.maintenance_stats();
+        let s = scoped.telemetry().maintenance;
         assert!(
             s.scoped_refreshes > 0,
             "refresh_grid must take the scoped path on a stable collection"

@@ -72,7 +72,7 @@ fn bench_append(c: &mut Criterion) {
                 stable.remove_document("extra.xml").unwrap();
             })
         });
-        let s = stable.maintenance_stats();
+        let s = stable.telemetry().maintenance;
         assert_eq!(
             s.grid_moves, 0,
             "stable loop must never move the grid (overflows: {})",
@@ -95,7 +95,7 @@ fn bench_append(c: &mut Criterion) {
                 moving.remove_document("extra.xml").unwrap();
             })
         });
-        let m = moving.maintenance_stats();
+        let m = moving.telemetry().maintenance;
         eprintln!(
             "grid_append/moving/{n}: grid_moves {} (every mutation re-buckets)",
             m.grid_moves
@@ -122,7 +122,7 @@ fn bench_refresh(c: &mut Criterion) {
         assert_eq!(warm.to_bits(), want.to_bits());
         eprintln!(
             "grid_refresh/{n}: refreshes {} | post-refresh estimate matches cold build",
-            db.maintenance_stats().refreshes
+            db.telemetry().maintenance.refreshes
         );
     }
     group.finish();

@@ -9,11 +9,11 @@
 //!   is orders of magnitude.
 //! * `prepared_batch` — a batch of repeated path queries estimated
 //!   **without any cache** (parse + estimate per query, the seed
-//!   behavior) versus drained through `EstimationService::estimate_batch`
-//!   over the warm prepared cache, per batch size.
+//!   behavior) versus drained through `Snapshot::estimate_batch` (one
+//!   resolve and one kernel run per distinct string), per batch size.
 //!
-//! Cache counters from `EstimationService::stats()` print after the
-//! batch group so CI logs show hit rates next to the timings. Run with
+//! Cache counters from `Database::telemetry()` print after the batch
+//! group so CI logs show hit rates next to the timings. Run with
 //! `XMLEST_BENCH_JSON=BENCH_plans.json cargo bench --bench
 //! prepared_pipeline` to capture the numbers (CI does).
 
@@ -21,7 +21,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xmlest_core::SummaryConfig;
 use xmlest_datagen::dblp::{generate as gen_dblp, DblpOptions};
-use xmlest_engine::{Database, TwigRef};
+use xmlest_engine::Database;
 use xmlest_query::parse_path;
 use xmlest_xml::serialize::{to_xml_string, WriteOptions};
 
@@ -89,12 +89,6 @@ fn bench_batch_cache(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("prepared_batch");
     for batch_size in [64usize, 256, 1024] {
-        let batch: Vec<TwigRef> = paths
-            .iter()
-            .cycle()
-            .take(batch_size)
-            .map(|&p| TwigRef::Path(p))
-            .collect();
         let path_batch: Vec<&str> = paths.iter().cycle().take(batch_size).copied().collect();
 
         // No cache at all: parse + estimate per query (seed behavior).
@@ -113,15 +107,17 @@ fn bench_batch_cache(c: &mut Criterion) {
                 })
             },
         );
-        // Warm prepared cache through the batch service.
-        let svc = db.service();
-        svc.estimate_batch(&batch); // warm the cache and the pool
+        // The batch routine over the published snapshot, coefficient
+        // tables warm.
+        let snapshot = db.snapshot();
+        snapshot.estimate_batch(&path_batch);
         group.bench_with_input(
             BenchmarkId::new("prepared_warm", batch_size),
             &batch_size,
             |b, _| {
                 b.iter(|| {
-                    svc.estimate_batch(black_box(&batch))
+                    snapshot
+                        .estimate_batch(black_box(&path_batch))
                         .into_iter()
                         .map(|r| r.unwrap().value)
                         .sum::<f64>()
@@ -159,13 +155,13 @@ fn bench_batch_cache(c: &mut Criterion) {
                     for &p in &path_batch {
                         let (prepared, plan) = planner.plan(black_box(p)).unwrap();
                         sum += plan.total;
-                        sum += svc.estimate_prepared(&prepared).unwrap().value;
+                        sum += db.estimate_prepared(&prepared).unwrap().value;
                     }
                     sum
                 })
             },
         );
-        let stats = svc.stats();
+        let stats = db.telemetry();
         eprintln!(
             "prepared_batch/{batch_size}: epoch {} | hits {} misses {} \
              invalidations {} evictions {} | entries {} canonical {} planned {}",

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use xmlest_bench::{dblp_workload, dept_workload, DEPT_BENCH_NODES};
-use xmlest_engine::{Database, Optimizer};
+use xmlest_engine::Database;
 use xmlest_query::structural::count_ad_pairs;
 use xmlest_query::{count_matches, parse_path};
 use xmlest_xml::parser::parse_str;
@@ -43,15 +43,15 @@ fn bench_substrate(c: &mut Criterion) {
     });
     group.finish();
 
-    // Optimizer planning cost.
+    // Planner cost: full enumeration and costing, uncached.
     let dept = dept_workload(DEPT_BENCH_NODES);
     let xml = to_xml_string(&dept.tree, WriteOptions::default());
     let db = Database::load_str(&xml, &xmlest_core::SummaryConfig::paper_defaults()).unwrap();
-    let opt = Optimizer::new(&db);
+    let planner = db.planner();
     let twig = parse_path("//manager//department[.//employee][.//email]").unwrap();
     let mut group = c.benchmark_group("optimizer");
     group.bench_function("plan_4_node_twig", |b| {
-        b.iter(|| opt.costed_plans(black_box(&twig)).unwrap().len())
+        b.iter(|| planner.costed_plans(black_box(&twig)).unwrap().len())
     });
     group.finish();
 }

@@ -5,7 +5,8 @@
 //! recording costs a handful of relaxed atomic adds and clock reads on
 //! the warm path — nothing allocates, nothing locks — so enabling it
 //! must not move the tail. This harness measures the same warm
-//! single-thread service loop twice over one database:
+//! single-thread `Database::estimate` loop (prepared-cache hit, then the
+//! snapshot kernel) twice over one database:
 //!
 //! * `recording_off` — `Recorder::set_enabled(false)`: spans and stage
 //!   clocks are inert, counter increments are skipped at the call
@@ -90,17 +91,16 @@ impl Row {
     }
 }
 
-/// Runs `rounds` rounds of `ops` warm estimates through the service
-/// and keeps the round with the lowest p99.
+/// Runs `rounds` rounds of `ops` warm estimates and keeps the round
+/// with the lowest p99.
 fn measure(id: &'static str, db: &Database, ops: usize, rounds: usize) -> Row {
-    let svc = db.service();
     let mut best: Option<Vec<u64>> = None;
     for _ in 0..rounds {
         let mut lat = Vec::with_capacity(ops);
         for i in 0..ops {
             let path = PATHS[i % PATHS.len()];
             let start = Instant::now();
-            let est = svc.estimate(path).expect("warm estimate");
+            let est = db.estimate(path).expect("warm estimate");
             lat.push(start.elapsed().as_nanos() as u64);
             black_box(est.value);
         }
@@ -126,15 +126,14 @@ fn measure(id: &'static str, db: &Database, ops: usize, rounds: usize) -> Row {
 /// Recording must observe, never perturb: both modes return
 /// bit-identical estimates for the whole mix.
 fn assert_bit_identical(db: &Database) {
-    let svc = db.service();
     let mut on_bits = Vec::new();
     db.recorder().set_enabled(true);
     for path in PATHS {
-        on_bits.push(svc.estimate(path).expect("estimate (on)").value.to_bits());
+        on_bits.push(db.estimate(path).expect("estimate (on)").value.to_bits());
     }
     db.recorder().set_enabled(false);
     for (path, &bits) in PATHS.iter().zip(&on_bits) {
-        let off = svc.estimate(*path).expect("estimate (off)").value.to_bits();
+        let off = db.estimate(path).expect("estimate (off)").value.to_bits();
         assert_eq!(
             off, bits,
             "estimate for {path} changed when recording was toggled"

@@ -262,8 +262,10 @@ fn write_coefficients(w: &mut Writer, coefficients: &[(String, JoinCoefficients)
 /// Reads the coefficient tables, validating every table against the
 /// catalog's grid and the CSR ordering invariant.
 fn read_coefficients(r: &mut Reader, expected: &Grid) -> Result<Vec<(String, JoinCoefficients)>> {
-    let n = r.u32()? as usize;
-    let mut coefficients = Vec::with_capacity(n.min(1024));
+    // Name length, basis tag, empty grid (count + uniform flag), entry
+    // count.
+    let n = r.count(4 + 1 + 5 + 4)?;
+    let mut coefficients = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.str()?;
         let basis = match r.u8()? {
@@ -277,8 +279,8 @@ fn read_coefficients(r: &mut Reader, expected: &Grid) -> Result<Vec<(String, Joi
                 "coefficient table {name:?} is on a different grid"
             )));
         }
-        let count = r.u32()? as usize;
-        let mut entries: Vec<(crate::grid::Cell, f64)> = Vec::with_capacity(count.min(4096));
+        let count = r.count(4 + 8)?;
+        let mut entries: Vec<(crate::grid::Cell, f64)> = Vec::with_capacity(count);
         for _ in 0..count {
             let cell = r.cell()?;
             if cell.0 > cell.1 || cell.1 >= grid.g() {
@@ -325,12 +327,12 @@ fn read_drift(r: &mut Reader, expected_g: u16) -> Result<DriftTracker> {
     }
     let baseline = r.f64()?;
     let mutations = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(n.min(1024));
+    let n = r.count(4 + 4)?;
+    let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.str()?;
-        let buckets = r.u32()? as usize;
-        let mut counts = Vec::with_capacity(buckets.min(4096));
+        let buckets = r.count(8)?;
+        let mut counts = Vec::with_capacity(buckets);
         for _ in 0..buckets {
             counts.push(r.u64()?);
         }
@@ -373,15 +375,15 @@ fn parse_meta(body: &[u8]) -> Result<Meta> {
     if total_nodes == 0 {
         return Err(Error::Corrupt("catalog meta claims zero nodes".into()));
     }
-    let n = r.u32()? as usize;
+    let n = r.count(4 + 1)?;
     let mut catalog = Catalog::new();
     for _ in 0..n {
         let name = r.str()?;
         let pred = read_base_pred(&mut r)?;
         catalog.define(name, pred);
     }
-    let n = r.u32()? as usize;
-    let mut directory = Vec::with_capacity(n.min(1024));
+    let n = r.count(4 + 4 + 4)?;
+    let mut directory = Vec::with_capacity(n);
     for _ in 0..n {
         directory.push(DirEntry {
             name: r.str()?,
@@ -921,7 +923,7 @@ impl CatalogFile {
             policy: GridPolicy::Static,
         };
         // Predicate catalog.
-        let n = r.u32()? as usize;
+        let n = r.count(4 + 1)?;
         let mut catalog = Catalog::new();
         for _ in 0..n {
             let name = r.str()?;
@@ -930,9 +932,9 @@ impl CatalogFile {
         }
         // Merged summaries.
         let merged = read_summaries_section(&mut r)?;
-        // Shards.
-        let n = r.u32()? as usize;
-        let mut shards = Vec::with_capacity(n.min(1024));
+        // Shards: name length, offset, summaries length.
+        let n = r.count(4 + 4 + 8)?;
+        let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.str()?;
             let offset = r.u32()?;

@@ -54,7 +54,7 @@ pub fn from_bytes(data: &[u8]) -> Result<Summaries> {
     let grid = read_grid(&mut r)?;
     let tree_nodes = r.u64()?;
     let true_hist = read_hist(&mut r, &grid)?;
-    let n = r.u32()? as usize;
+    let n = r.count(MIN_PRED_SUMMARY_LEN)?;
     let mut preds = BTreeMap::new();
     for _ in 0..n {
         let p = read_pred_summary(&mut r, &grid)?;
@@ -115,9 +115,14 @@ pub(crate) struct Reader<'a> {
     pub(crate) pos: usize,
 }
 
+/// Smallest encoding of one predicate summary: name length, base
+/// predicate tag, histogram cell count, coverage/levels/no-overlap
+/// flags, match count and average width.
+const MIN_PRED_SUMMARY_LEN: usize = 4 + 1 + 4 + 1 + 1 + 1 + 8 + 8;
+
 impl Reader<'_> {
     pub(crate) fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(Error::Corrupt("unexpected end of data".into()));
         }
         let s = &self.data[self.pos..self.pos + n];
@@ -160,6 +165,22 @@ impl Reader<'_> {
     pub(crate) fn cell(&mut self) -> Result<Cell> {
         Ok((self.u16()?, self.u16()?))
     }
+    /// Reads a `u32` element count for a list whose elements encode in
+    /// at least `elem_len` bytes each, rejecting any count the remaining
+    /// input cannot hold. Every length-prefixed list goes through here
+    /// (strings are bounded by [`Reader::take`] before they copy), so a
+    /// hostile count can never size an allocation beyond a small
+    /// multiple of the input length.
+    pub(crate) fn count(&mut self, elem_len: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        let remaining = self.data.len() - self.pos;
+        if n.saturating_mul(elem_len) > remaining {
+            return Err(Error::Corrupt(format!(
+                "length prefix {n} overruns the {remaining} bytes left"
+            )));
+        }
+        Ok(n)
+    }
 }
 
 pub(crate) fn write_grid(w: &mut Writer, g: &Grid) {
@@ -178,7 +199,7 @@ pub(crate) fn write_grid(w: &mut Writer, g: &Grid) {
 }
 
 pub(crate) fn read_grid(r: &mut Reader) -> Result<Grid> {
-    let n = r.u32()? as usize;
+    let n = r.count(4)?;
     let mut boundaries = Vec::with_capacity(n);
     for _ in 0..n {
         boundaries.push(r.u32()?);
@@ -196,7 +217,7 @@ pub(crate) fn write_hist(w: &mut Writer, h: &PositionHistogram) {
 }
 
 pub(crate) fn read_hist(r: &mut Reader, grid: &Grid) -> Result<PositionHistogram> {
-    let n = r.u32()? as usize;
+    let n = r.count(4 + 8)?;
     let mut h = PositionHistogram::empty(grid.clone());
     for _ in 0..n {
         let cell = r.cell()?;
@@ -237,12 +258,12 @@ fn read_cvg(r: &mut Reader, grid: &Grid) -> Result<CoverageHistogram> {
         }
         Ok(cell)
     };
-    let n = r.u32()? as usize;
+    let n = r.count(4)?;
     let mut covering = BTreeSet::new();
     for _ in 0..n {
         covering.insert(check(r.cell()?)?);
     }
-    let n = r.u32()? as usize;
+    let n = r.count(4 + 4 + 8)?;
     let mut partial = BTreeMap::new();
     for _ in 0..n {
         let d = check(r.cell()?)?;
@@ -257,7 +278,7 @@ fn read_cvg(r: &mut Reader, grid: &Grid) -> Result<CoverageHistogram> {
         }
         partial.insert((d, a), r.f64()?);
     }
-    let n = r.u32()? as usize;
+    let n = r.count(4 + 8)?;
     let mut scales = BTreeMap::new();
     for _ in 0..n {
         let cell = check(r.cell()?)?;
@@ -280,7 +301,7 @@ fn write_levels(w: &mut Writer, l: &LevelHistogram) {
 }
 
 fn read_levels(r: &mut Reader) -> Result<LevelHistogram> {
-    let n = r.u32()? as usize;
+    let n = r.count(8)?;
     let mut counts = Vec::with_capacity(n);
     for _ in 0..n {
         counts.push(r.f64()?);

@@ -15,8 +15,8 @@
 //! * **Serving layer** — the estimator over the merged summaries, the
 //!   shared [`CoeffCache`], the prepared-query cache (repeated queries
 //!   hit a canonical [`crate::prepared::PreparedQuery`] carrying the
-//!   parsed twig, leaf resolutions and the memoized plan), and
-//!   [`crate::service::EstimationService`] for batched estimation.
+//!   parsed twig, leaf resolutions and the memoized plan), and the
+//!   published [`Snapshot`] every estimate runs on.
 //!
 //! Every state a cache can derive from — summaries, grid, coefficient
 //! tables, plans — is versioned by the database **epoch**: a
@@ -34,9 +34,9 @@ use crate::error::{Error, Result};
 use crate::maintenance::{
     MaintenanceState, MaintenanceStats, DEGRADED_AFTER_STRIKES, MAX_BACKOFF_SHIFT,
 };
-use crate::prepared::{LeafResolution, PreparedCache, PreparedQuery, TwigId};
+use crate::prepared::{CacheTier, LeafResolution, PreparedCache, PreparedQuery, TwigId};
 use crate::snapshot::{Snapshot, SnapshotCell};
-use crate::telemetry::{Metrics, Telemetry};
+use crate::telemetry::{edge_kernels, Metrics, Telemetry, TraceReport};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -49,7 +49,9 @@ use xmlest_core::shard::{
     DocumentSummaryInput, MergeState,
 };
 use xmlest_core::store::{CatalogStore, SkippedGeneration};
-use xmlest_core::{CoeffCache, DriftTracker, Estimator, Grid, Summaries, SummaryConfig, TwigNode};
+use xmlest_core::{
+    CoeffCache, DriftTracker, Estimate, Estimator, Grid, Summaries, SummaryConfig, TwigNode,
+};
 use xmlest_predicate::{BasePredicate, Catalog, PredExpr};
 use xmlest_query::structural::Item;
 use xmlest_query::{count_matches, parse_path};
@@ -62,26 +64,39 @@ use xmlest_xobs::{EventKind, Recorder, Stage};
 /// valid input reaches the fallible steps' error arms naturally).
 #[cfg(test)]
 pub(crate) mod test_faults {
-    /// Number of upcoming [`super::Database::from_collection`] calls to
-    /// fail artificially (multi-shot: each failure decrements, so a
-    /// test can arm a whole losing streak to exercise the backoff and
-    /// degraded-flag escalation). Store 1 for the classic one-shot.
-    pub(crate) static FAIL_REBUILDS: std::sync::atomic::AtomicU32 =
-        std::sync::atomic::AtomicU32::new(0);
+    use std::cell::Cell;
 
-    /// Serializes tests that arm the (global) fault counter so an
-    /// armed-but-unconsumed count can't leak into a parallel test.
-    pub(crate) static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    thread_local! {
+        /// Number of upcoming [`super::Database::from_collection`] calls
+        /// on this thread to fail artificially (multi-shot: each failure
+        /// decrements, so a test can arm a whole losing streak to
+        /// exercise the backoff and degraded-flag escalation).
+        /// Thread-local because mutations run on the calling thread:
+        /// an armed count can never leak into a test running in
+        /// parallel.
+        static FAIL_REBUILDS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// Arms the next `n` rebuilds on this thread to fail (1 for the
+    /// classic one-shot, 0 to disarm).
+    pub(crate) fn arm(n: u32) {
+        FAIL_REBUILDS.with(|c| c.set(n));
+    }
+
+    /// Whether a failure is armed on this thread.
+    pub(crate) fn armed() -> bool {
+        FAIL_REBUILDS.with(|c| c.get() > 0)
+    }
 
     /// Consumes one armed failure, if any.
     pub(crate) fn take_rebuild_failure() -> bool {
-        FAIL_REBUILDS
-            .fetch_update(
-                std::sync::atomic::Ordering::SeqCst,
-                std::sync::atomic::Ordering::SeqCst,
-                |n| n.checked_sub(1),
-            )
-            .is_ok()
+        FAIL_REBUILDS.with(|c| match c.get() {
+            0 => false,
+            n => {
+                c.set(n - 1);
+                true
+            }
+        })
     }
 }
 
@@ -288,7 +303,7 @@ pub struct Database {
     epoch: u64,
     /// Prepared-query cache (canonical twig interner + two-tier cache,
     /// CLOCK-bounded string tier) serving [`Database::estimate`],
-    /// [`Database::count`], the planner and the estimation service.
+    /// [`Database::count`] and the planner.
     /// Survives collection mutations — the epoch check re-prepares
     /// entries lazily.
     prepared: PreparedCache,
@@ -319,8 +334,8 @@ pub struct Database {
     undo: VecDeque<AppendUndo>,
     /// The wait-free serving cell: every mutation commit publishes an
     /// immutable epoch-stamped [`Snapshot`] here by pointer swap.
-    /// Concurrent readers ([`Database::serving`] holders — the admission
-    /// front, the maintenance worker's clients) estimate against the
+    /// Concurrent readers ([`Database::serving`] holders — the
+    /// maintenance worker's clients) estimate against the
     /// cell without ever taking a lock; the cell's identity survives
     /// rebuilds ([`Database::replace_rebuilt`] carries it across), so a
     /// handle captured once stays live for the database's lifetime.
@@ -328,12 +343,12 @@ pub struct Database {
     /// The observability core ([`xmlest_xobs`]): typed metric registry,
     /// per-stage latency histograms, and the structured event journal.
     /// One recorder per database, shared (by handle clone) with every
-    /// published snapshot, the prepared cache, services and fronts —
+    /// published snapshot and the prepared cache —
     /// so [`Database::telemetry`] is one coherent view no matter which
     /// entry point did the work. Survives rebuilds like `serving` does.
     obs: Recorder,
     /// Engine counter handles registered in `obs` (estimates, errors,
-    /// batches, publishes, front traffic).
+    /// batches, publishes).
     metrics: Metrics,
 }
 
@@ -836,7 +851,7 @@ impl Database {
         let prepared = std::mem::take(&mut self.prepared);
         let counters = self.maintenance.counters;
         // The serving cell's identity must survive the rebuild: external
-        // holders (maintenance worker, admission front) keep their
+        // holders (the maintenance worker, reader threads) keep their
         // `Arc<SnapshotCell>` across it and see the new state at the
         // next publish. The recorder and metric handles survive for the
         // same reason — telemetry history (counters, stage histograms,
@@ -1131,7 +1146,7 @@ impl Database {
         // around: decline (without consuming) so the full path's
         // `from_collection` consumes it and reports the failure.
         #[cfg(test)]
-        if test_faults::FAIL_REBUILDS.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+        if test_faults::armed() {
             return false;
         }
         let computed = {
@@ -1267,8 +1282,9 @@ impl Database {
     }
 
     /// Snapshot of the grid maintenance layer: policy, capacity and
-    /// occupancy, drift against the threshold, and per-path counters.
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
+    /// occupancy, drift against the threshold, and per-path counters
+    /// (read it as [`Telemetry::maintenance`]).
+    fn maintenance_stats(&self) -> MaintenanceStats {
         let c = self.maintenance.counters;
         let t = &self.maintenance.tracker;
         MaintenanceStats {
@@ -1365,7 +1381,7 @@ impl Database {
     /// Opens a database from catalog bytes: summaries, shards and
     /// coefficient tables deserialize directly — **zero tree
     /// traversal**, no parsing of any document. The result serves
-    /// estimates (including batched service estimation) byte-identically
+    /// estimates (including batched snapshot estimation) byte-identically
     /// to the database that was saved — for DTD-configured builds only
     /// after [`Database::attach_dtd`] restores the (never-persisted)
     /// analysis. Exact counting, candidate lists and plan execution
@@ -1744,8 +1760,8 @@ impl Database {
         ));
     }
 
-    /// The shared serving cell. Readers (service fronts, other threads)
-    /// hold this `Arc` and load wait-free snapshots from it; the cell's
+    /// The shared serving cell. Readers (other threads) hold this `Arc`
+    /// and load wait-free snapshots from it; the cell's
     /// identity is stable across every mutation, refresh and rebuild of
     /// this database.
     pub fn serving(&self) -> Arc<SnapshotCell> {
@@ -1757,11 +1773,6 @@ impl Database {
         self.serving.current()
     }
 
-    /// Number of distinct query strings in the prepared-query cache.
-    pub fn cached_twig_count(&self) -> usize {
-        self.prepared.len()
-    }
-
     /// The current epoch: a monotonic version of everything estimates
     /// derive from, bumped by collection mutations and
     /// [`Database::attach_dtd`]. Prepared queries and memoized plans
@@ -1771,43 +1782,29 @@ impl Database {
         self.epoch
     }
 
-    /// Counter snapshot of the prepared-query cache.
-    pub fn prepared_stats(&self) -> crate::prepared::CacheStats {
-        self.prepared.stats()
-    }
-
     // ---- observability -----------------------------------------------
 
     /// The database's observability recorder: the typed metric
     /// registry, stage histograms and event journal every layer of this
     /// database records into. Shared by handle with published
-    /// snapshots, services and fronts; use it to toggle recording
+    /// snapshots; use it to toggle recording
     /// ([`Recorder::set_enabled`]) or take a raw [`xmlest_xobs`]
     /// snapshot.
     pub fn recorder(&self) -> &Recorder {
         &self.obs
     }
 
-    /// Engine counter handles (crate-internal; services and fronts
-    /// increment through the snapshots they hold).
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// One coherent observability snapshot: epoch, degradation and
-    /// quarantine state, the four legacy stats views
-    /// ([`Database::prepared_stats`], [`Database::maintenance_stats`],
-    /// front and service stats), every registered counter, per-stage
-    /// latency quantiles, and the recent event journal. See
-    /// [`Telemetry`] for the reset contract and the exporters.
+    /// quarantine state, the prepared-cache and grid-maintenance
+    /// sections, every registered counter, per-stage latency quantiles,
+    /// and the recent event journal. See [`Telemetry`] for the reset
+    /// contract and the exporters.
     pub fn telemetry(&self) -> Telemetry {
         Telemetry::gather(
             &self.obs,
-            &self.metrics,
             self.epoch,
             self.is_degraded(),
             self.quarantine.len(),
-            0,
             self.prepared.stats(),
             self.maintenance_stats(),
         )
@@ -1831,26 +1828,6 @@ impl Database {
             || Ok(parse_path(path)?.canonicalize()),
             &|id, twig| self.resolve_prepared(id, twig),
         )
-    }
-
-    /// [`Database::prepare`] with the parse/canonicalize work supplied
-    /// by the caller (only invoked on a cache miss) — the traced
-    /// pipeline times those stages itself and must not pay them twice.
-    pub(crate) fn prepare_path_with(
-        &self,
-        path: &str,
-        parse_canonical: impl FnOnce() -> Result<TwigNode>,
-    ) -> Result<Arc<PreparedQuery>> {
-        self.prepared
-            .get_or_prepare_path(path, self.epoch, parse_canonical, &|id, twig| {
-                self.resolve_prepared(id, twig)
-            })
-    }
-
-    /// Side-effect-free probe: how `path` would meet the prepared cache
-    /// right now (no counters move, nothing is installed).
-    pub(crate) fn classify_path(&self, path: &str) -> crate::prepared::CacheTier {
-        self.prepared.classify_path(path, self.epoch)
     }
 
     /// [`Database::prepare`] for a pre-built pattern. Canonicalizes, so
@@ -1958,43 +1935,94 @@ impl Database {
         Ok(count_matches(tree, &self.catalog, prepared.twig())?)
     }
 
-    /// Parses and estimates a path query from the summaries. Repeated
-    /// (or canonically equivalent) query strings skip the parser via the
-    /// shared prepared-query cache; estimation always runs on the
-    /// canonical twig, so equivalent spellings return bit-identical
-    /// values.
-    pub fn estimate(&self, path: &str) -> Result<xmlest_core::Estimate> {
-        let prepared = self.prepare(path)?;
-        Ok(self.estimator().estimate_twig(prepared.twig())?)
+    /// Parses and estimates a path query. Repeated (or canonically
+    /// equivalent) query strings skip the parser via the shared
+    /// prepared-query cache; the estimate itself runs on the current
+    /// [`Snapshot`] (thread-local workspace, counted in
+    /// `xmlest_estimates_total`) and always on the canonical twig, so
+    /// equivalent spellings return bit-identical values. A warm hit
+    /// allocates nothing.
+    pub fn estimate(&self, path: &str) -> Result<Estimate> {
+        let snapshot = self.snapshot();
+        let prepared = self.prepare(path).inspect_err(|_| snapshot.note(false))?;
+        snapshot.estimate_twig(prepared.twig())
     }
 
     /// Estimates an already prepared query (refreshing it first if it
-    /// was prepared under an older epoch) on the thread-local workspace.
-    pub fn estimate_prepared(
-        &self,
-        prepared: &Arc<PreparedQuery>,
-    ) -> Result<xmlest_core::Estimate> {
-        let fresh = self.refresh_prepared(prepared)?;
-        Ok(self.estimator().estimate_twig(fresh.twig())?)
+    /// was prepared under an older epoch) on the current [`Snapshot`].
+    pub fn estimate_prepared(&self, prepared: &Arc<PreparedQuery>) -> Result<Estimate> {
+        let snapshot = self.snapshot();
+        let fresh = self
+            .refresh_prepared(prepared)
+            .inspect_err(|_| snapshot.note(false))?;
+        snapshot.estimate_twig(fresh.twig())
     }
 
-    /// Estimates a pre-parsed twig on a caller-owned workspace — the
-    /// zero-allocation steady-state path for serving loops that
-    /// estimate the same (or many) twigs repeatedly. The workspace's
-    /// scratch buffers and result slots are reused across calls; leaf
-    /// state is borrowed from the summaries, never cloned.
-    pub fn estimate_twig_with(
-        &self,
-        ws: &mut xmlest_core::TwigWorkspace,
-        twig: &xmlest_core::TwigNode,
-    ) -> Result<xmlest_core::Estimate> {
-        Ok(self.estimator().estimate_twig_with(ws, twig)?)
-    }
+    /// Estimates `path` stage by stage and reports the full provenance:
+    /// the estimate, the resolved [`TwigId`] and epoch, how the query
+    /// met the prepared cache (probed *before* this call touches it),
+    /// the chosen plan, the kernel each twig edge ran on, and per-stage
+    /// wall-clock timings. The estimate is bit-identical to
+    /// [`Database::estimate`] — tracing adds reporting, never different
+    /// math. Stage timings read 0 when the recorder is disabled (and
+    /// parse/canonicalize read 0 on a warm cache hit, where those stages
+    /// genuinely never ran).
+    pub fn estimate_traced(&self, path: &str) -> Result<TraceReport> {
+        let obs = &self.obs;
+        let snapshot = self.snapshot();
+        let cache_tier = self.prepared.classify_path(path, self.epoch);
+        let mut clock = obs.stage_clock();
+        let (parse_ns, canonicalize_ns, prepared) = match cache_tier {
+            CacheTier::Miss => {
+                // Time the parse and canonicalize stages explicitly,
+                // then hand the finished twig to the cache so the work
+                // isn't paid twice (and the path still warms tier 1).
+                let parsed = parse_path(path)?;
+                let parse_ns = clock.lap(obs, Stage::Parse);
+                let canonical = parsed.canonicalize();
+                let canonicalize_ns = clock.lap(obs, Stage::Canonicalize);
+                let prepared = self.prepared.get_or_prepare_path(
+                    path,
+                    self.epoch,
+                    move || Ok(canonical),
+                    &|id, twig| self.resolve_prepared(id, twig),
+                )?;
+                (parse_ns, canonicalize_ns, prepared)
+            }
+            // Warm or stale: the cache path never parses (stale entries
+            // re-resolve from their interned twig), so those stages
+            // honestly read 0.
+            CacheTier::PathHit | CacheTier::Stale => (0, 0, self.prepare(path)?),
+        };
+        let prepare_ns = clock.lap(obs, Stage::Prepare);
 
-    /// An estimation service over this database: parsed-twig cache plus
-    /// a pool of reusable workspaces, with batched (rayon) estimation.
-    pub fn service(&self) -> crate::service::EstimationService<'_> {
-        crate::service::EstimationService::new(self)
+        // Single-node patterns have no join order to choose; everything
+        // else gets the memoized cheapest plan (plan_ns is ~0 when the
+        // plan was already memoized for this twig + epoch).
+        let plan = if prepared.twig().children.is_empty() {
+            None
+        } else {
+            Some(self.planner().best_plan(&prepared)?)
+        };
+        let plan_ns = clock.lap(obs, Stage::Plan);
+
+        let res = snapshot.estimate_twig(prepared.twig());
+        let kernel_ns = clock.lap(obs, Stage::Kernel);
+        let estimate = res?;
+
+        Ok(TraceReport {
+            estimate,
+            twig_id: prepared.id(),
+            epoch: snapshot.epoch(),
+            cache_tier,
+            plan,
+            edges: edge_kernels(prepared.twig(), snapshot.summaries()),
+            parse_ns,
+            canonicalize_ns,
+            prepare_ns,
+            plan_ns,
+            kernel_ns,
+        })
     }
 }
 
@@ -2098,7 +2126,11 @@ mod tests {
             let twig = xmlest_query::parse_path(path).unwrap();
             // Repeated workspace estimates are stable and agree.
             for _ in 0..3 {
-                let ws_est = d.estimate_twig_with(&mut ws, &twig).unwrap().value;
+                let ws_est = d
+                    .snapshot()
+                    .estimate_twig_with(&mut ws, &twig)
+                    .unwrap()
+                    .value;
                 assert!(
                     (ws_est - plain).abs() < 1e-12,
                     "{path}: {ws_est} vs {plain}"
@@ -2117,18 +2149,39 @@ mod tests {
     #[test]
     fn estimate_reuses_parsed_twigs() {
         let d = db();
-        assert_eq!(d.cached_twig_count(), 0);
+        let cached = |d: &Database| d.telemetry().cache.entries;
+        assert_eq!(cached(&d), 0);
         let first = d.estimate("//faculty//TA").unwrap().value;
-        assert_eq!(d.cached_twig_count(), 1);
+        assert_eq!(cached(&d), 1);
         for _ in 0..5 {
             assert_eq!(d.estimate("//faculty//TA").unwrap().value, first);
         }
-        assert_eq!(d.cached_twig_count(), 1, "repeat paths re-parsed");
+        assert_eq!(cached(&d), 1, "repeat paths re-parsed");
         d.estimate("//staff//name").unwrap();
-        assert_eq!(d.cached_twig_count(), 2);
+        assert_eq!(cached(&d), 2);
         // count() shares the cache.
         d.count("//faculty//TA").unwrap();
-        assert_eq!(d.cached_twig_count(), 2);
+        assert_eq!(cached(&d), 2);
+    }
+
+    /// Every `Database::estimate` is served (and counted) by the
+    /// snapshot, so each call — warm or cold — advances the shared
+    /// estimate counter by exactly one, and a failed resolution counts
+    /// as an error.
+    #[test]
+    fn each_estimate_is_counted_once() {
+        let d = db();
+        let count = |d: &Database, name: &str| d.telemetry().counter(name).unwrap();
+        let before = count(&d, "xmlest_estimates_total");
+        for _ in 0..10 {
+            d.estimate("//faculty//TA").unwrap();
+        }
+        assert_eq!(count(&d, "xmlest_estimates_total"), before + 10);
+        let held = d.prepare("//staff//name").unwrap();
+        d.estimate_prepared(&held).unwrap();
+        assert!(d.estimate("//faculty//GHOST").is_err());
+        assert_eq!(count(&d, "xmlest_estimates_total"), before + 12);
+        assert_eq!(count(&d, "xmlest_estimate_errors_total"), 1);
     }
 
     #[test]
@@ -2166,8 +2219,6 @@ mod tests {
 
     #[test]
     fn failed_rebuild_rolls_back_the_mutation() {
-        use std::sync::atomic::Ordering;
-        let _guard = test_faults::LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut d = Database::load_documents(
             [("a.xml", "<a><x/><x/></a>"), ("b.xml", "<b><y/></b>")],
             &SummaryConfig::paper_defaults().with_grid_size(8),
@@ -2176,7 +2227,7 @@ mod tests {
         let before = d.estimate("//a//x").unwrap().value;
         let epoch = d.epoch();
 
-        test_faults::FAIL_REBUILDS.store(1, Ordering::SeqCst);
+        test_faults::arm(1);
         assert!(d.add_document("c.xml", "<a><x/><z/></a>").is_err());
         assert_eq!(d.epoch(), epoch, "failed mutation must not bump the epoch");
         assert_eq!(d.document_names(), vec!["a.xml", "b.xml"]);
@@ -2193,7 +2244,7 @@ mod tests {
         assert_eq!(d.count("//a//x").unwrap(), 3);
 
         // Removal rolls back too, preserving document order.
-        test_faults::FAIL_REBUILDS.store(1, Ordering::SeqCst);
+        test_faults::arm(1);
         assert!(d.remove_document("a.xml").is_err());
         assert_eq!(d.document_names(), vec!["a.xml", "b.xml", "c.xml"]);
         assert_eq!(d.count("//a//x").unwrap(), 3);
@@ -2210,8 +2261,6 @@ mod tests {
     /// retry the add and insert the document twice.
     #[test]
     fn failed_auto_refresh_does_not_unwind_the_mutation() {
-        use std::sync::atomic::Ordering;
-        let _guard = test_faults::LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // A wide, evenly spread initial document keeps the baseline
         // skew low; the appended pile of same-tag leaves lands in the
         // tail buckets, so skew — and therefore drift — must rise.
@@ -2234,7 +2283,7 @@ mod tests {
         )
         .unwrap();
 
-        test_faults::FAIL_REBUILDS.store(1, Ordering::SeqCst);
+        test_faults::arm(1);
         // The append commits on the stable path; the auto refresh it
         // triggers hits the injected rebuild failure.
         d.add_document("b.xml", &pile).unwrap();
@@ -2399,8 +2448,6 @@ mod tests {
     /// clears it all.
     #[test]
     fn failed_refreshes_back_off_and_raise_the_degraded_flag() {
-        use std::sync::atomic::Ordering;
-        let _guard = test_faults::LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut spread = String::from("<a>");
         for _ in 0..24 {
             spread.push_str("<x><q/></x>");
@@ -2424,7 +2471,7 @@ mod tests {
         // threshold, then keep mutating. Backoff windows of 1, 2, 4
         // mutations open between the attempts, so some mutations must
         // be recorded as skips rather than failures.
-        test_faults::FAIL_REBUILDS.store(u32::MAX, Ordering::SeqCst);
+        test_faults::arm(u32::MAX);
         let mut mutations = 0u32;
         loop {
             d.add_document(format!("d{mutations}.xml"), &pile[..])
@@ -2452,7 +2499,7 @@ mod tests {
 
         // Disarm the fault: the next out-of-window mutation refreshes
         // successfully and clears strikes, window and flag.
-        test_faults::FAIL_REBUILDS.store(0, Ordering::SeqCst);
+        test_faults::arm(0);
         let mut extra = 0u32;
         while d.maintenance_stats().refresh_degraded {
             d.add_document(format!("e{extra}.xml"), &pile[..]).unwrap();

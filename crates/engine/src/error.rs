@@ -24,10 +24,9 @@ pub enum Error {
     /// keeps serving estimates; re-ingest the documents (or
     /// `Database::repair` quarantined ones) to mutate.
     ServingOnly(String),
-    /// A service-front failure: the maintenance worker or an admission
-    /// queue is gone (its thread shut down or panicked), so the request
-    /// cannot be served. Estimates against an already-held snapshot are
-    /// unaffected.
+    /// The maintenance worker is gone (its thread shut down or
+    /// panicked), so the request cannot be served. Estimates against an
+    /// already-held snapshot are unaffected.
     Service(String),
 }
 

@@ -30,14 +30,18 @@
 //!   cheapest plan. The two-tier cache (query string → entry,
 //!   `TwigId` → entry; CLOCK-bounded string tier) serves warm hits
 //!   with zero allocations.
+//! * **Estimate** — [`snapshot::Snapshot`] is the one code path that
+//!   computes and counts an answer size: single paths, pre-parsed
+//!   twigs and string-deduplicated batches. [`db::Database::estimate`]
+//!   resolves through the prepared cache, then estimates on the current
+//!   snapshot.
 //! * **Plan** — [`planner::Planner`] owns the costing workspace,
 //!   enumerates connected join orders ([`plan`]), prices them through
-//!   the estimator-fed cost model ([`cost`]), and memoizes the winner on
-//!   the prepared entry. [`optimizer::Optimizer`] is the EXPLAIN-style
-//!   facade over it.
+//!   the estimator-fed cost model ([`cost`]), memoizes the winner on the
+//!   prepared entry, and is the EXPLAIN front door.
 //! * **Execute** — [`exec`] runs a plan against the element indexes,
 //!   recording *actual* intermediate cardinalities next to the
-//!   estimates.
+//!   estimates ([`planner::Planner::explain`] with `analyze`).
 //!
 //! ## The epoch-invalidation contract
 //!
@@ -66,9 +70,8 @@
 //! snapshot with one lock-free pointer load and estimate entirely
 //! against it, never blocking on (or being blocked by) maintenance;
 //! [`maintenance::MaintenanceWorker`] moves the mutations themselves
-//! off-thread, and [`service::AdmissionFront`] batches request
-//! admission over the same cell. See [`snapshot`] for the
-//! read-vs-maintenance thread contract.
+//! off-thread. See [`snapshot`] for the read-vs-maintenance thread
+//! contract.
 
 pub mod cost;
 /// The database object: documents, catalog, indexes, summaries.
@@ -79,16 +82,12 @@ pub mod error;
 pub mod exec;
 /// Incremental maintenance: appends, removals, drift-tracked refresh.
 pub mod maintenance;
-/// Estimate-driven join-order selection.
-pub mod optimizer;
 /// Flattened twigs and structural-join plan enumeration.
 pub mod plan;
-/// The unified planner: canonicalization, costing, plan cache.
+/// The unified planner: costing, plan cache, EXPLAIN and execution.
 pub mod planner;
 /// Prepared queries: twig interning and the epoch-checked cache.
 pub mod prepared;
-/// The concurrent estimation service with pooled workspaces.
-pub mod service;
 /// Epoch-stamped serving snapshots and the RCU-style publication cell.
 pub mod snapshot;
 /// The unified telemetry surface and estimate provenance reports.
@@ -97,13 +96,9 @@ pub mod telemetry;
 pub use db::{Database, RepairReport, StoreOpen};
 pub use error::{Error, Result};
 pub use maintenance::{MaintenanceStats, MaintenanceWorker, DEGRADED_AFTER_STRIKES};
-pub use optimizer::{ExplainedPlan, Optimizer};
 pub use plan::{FlatTwig, Plan, PlanStep};
-pub use planner::Planner;
+pub use planner::{ExplainedPlan, Planner};
 pub use prepared::{CacheStats, CacheTier, LeafResolution, PreparedQuery, TwigId};
-pub use service::{
-    AdmissionFront, AdmissionOptions, EstimationService, FrontStats, ServiceStats, TwigRef,
-};
 pub use snapshot::{Snapshot, SnapshotCell};
 pub use telemetry::{EdgeKernel, StageLatency, Telemetry, TraceReport};
 // The observability core's own types, re-exported so downstream code

@@ -60,6 +60,7 @@
 use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::snapshot::{Snapshot, SnapshotCell};
+use crate::telemetry::Telemetry;
 use std::sync::mpsc;
 use std::sync::Arc;
 use xmlest_core::{DriftTracker, Estimate, GridPolicy};
@@ -157,12 +158,8 @@ impl MaintenanceState {
     }
 }
 
-/// Observability snapshot of the grid maintenance layer
-/// ([`crate::db::Database::maintenance_stats`],
-/// [`crate::service::EstimationService::maintenance_stats`]).
-///
-/// Also folded verbatim into [`crate::telemetry::Telemetry`] — this
-/// struct is the maintenance *view* of the unified surface.
+/// Observability snapshot of the grid maintenance layer: the
+/// [`Telemetry::maintenance`] section of the unified surface.
 ///
 /// ## Reset contract
 ///
@@ -261,8 +258,8 @@ enum Command {
         queries: Vec<String>,
         reply: mpsc::Sender<(u64, Vec<Result<Estimate>>)>,
     },
-    Stats {
-        reply: mpsc::Sender<Box<MaintenanceStats>>,
+    Telemetry {
+        reply: mpsc::Sender<Box<Telemetry>>,
     },
     Shutdown {
         reply: mpsc::Sender<Box<Database>>,
@@ -286,7 +283,7 @@ enum Command {
 /// pointer swap. Dropping the worker shuts the thread down;
 /// [`MaintenanceWorker::shutdown`] hands the database back instead.
 pub struct MaintenanceWorker {
-    commands: crossbeam::channel::Sender<Command>,
+    commands: mpsc::SyncSender<Command>,
     serving: Arc<SnapshotCell>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -310,7 +307,7 @@ impl MaintenanceWorker {
     /// the worker publishes to.
     pub fn spawn(db: Database) -> MaintenanceWorker {
         let serving = db.serving();
-        let (tx, rx) = crossbeam::channel::bounded::<Command>(WORKER_QUEUE_DEPTH);
+        let (tx, rx) = mpsc::sync_channel::<Command>(WORKER_QUEUE_DEPTH);
         let handle = std::thread::spawn(move || {
             let mut db = db;
             while let Ok(cmd) = rx.recv() {
@@ -329,8 +326,8 @@ impl MaintenanceWorker {
                         let results = queries.iter().map(|q| snap.estimate(q)).collect();
                         let _ = reply.send((snap.epoch(), results));
                     }
-                    Command::Stats { reply } => {
-                        let _ = reply.send(Box::new(db.maintenance_stats()));
+                    Command::Telemetry { reply } => {
+                        let _ = reply.send(Box::new(db.telemetry()));
                     }
                     Command::Shutdown { reply } => {
                         let _ = reply.send(Box::new(db));
@@ -348,8 +345,8 @@ impl MaintenanceWorker {
         }
     }
 
-    /// The shared serving cell — hand this to readers and service
-    /// fronts; it outlives refreshes, rebuilds and the worker itself.
+    /// The shared serving cell — hand this to readers; it outlives
+    /// refreshes, rebuilds and the worker itself.
     pub fn serving(&self) -> Arc<SnapshotCell> {
         self.serving.clone()
     }
@@ -396,9 +393,9 @@ impl MaintenanceWorker {
         self.round_trip(|reply| Command::Probe { queries, reply })
     }
 
-    /// Maintenance counters, read on the worker thread.
-    pub fn stats(&self) -> Result<MaintenanceStats> {
-        self.round_trip(|reply| Command::Stats { reply })
+    /// The database's [`Telemetry`], gathered on the worker thread.
+    pub fn telemetry(&self) -> Result<Telemetry> {
+        self.round_trip(|reply| Command::Telemetry { reply })
             .map(|b| *b)
     }
 

@@ -1,9 +1,9 @@
-//! The unified planner: one front door from query to costed plan.
+//! The unified planner: one front door from query to costed plan, and
+//! from plan to execution (EXPLAIN ANALYZE style).
 //!
-//! Historically every consumer stitched the front half of the pipeline
-//! together by hand — parse, flatten, enumerate, cost — and paid the
-//! full enumeration on every call ([`crate::Optimizer::best_plan`]
-//! re-enumerated per query). The [`Planner`] owns that pipeline:
+//! The [`Planner`] owns the front half of the pipeline — parse,
+//! flatten, enumerate, cost — so no consumer stitches it together by
+//! hand or pays the full enumeration per call:
 //!
 //! * it resolves queries through the database's prepared-query cache
 //!   (canonical twig interning, epoch validation — see
@@ -19,20 +19,63 @@
 //!
 //! Plans are computed on the **canonical** twig, so plan step indices
 //! refer to the canonical pre-order flattening (sibling branches sorted
-//! by `(axis, rendering)`), whatever the query's original spelling.
+//! by `(axis, rendering)`), whatever the query's original spelling —
+//! pass plans produced here back to the `execute*` methods and the
+//! numbering always matches.
 
 use crate::cost::{cost_plan_with, CostWorkspace, CostedPlan};
 use crate::db::Database;
 use crate::error::{Error, Result};
-use crate::plan::{enumerate_plans, FlatTwig};
+use crate::exec::{execute_plan, execute_plan_with, Execution};
+use crate::plan::{enumerate_plans, FlatTwig, JoinAlgorithm, Plan};
 use crate::prepared::PreparedQuery;
+use std::fmt::Write;
 use std::sync::{Arc, Mutex};
-use xmlest_core::TwigNode;
+use xmlest_core::{Axis, TwigNode};
 use xmlest_xobs::Stage;
 
 /// Upper bound on enumerated plans (twigs in the paper's experiments
 /// have at most a handful of edges; 5040 covers 7 freely-ordered edges).
 pub(crate) const PLAN_CAP: usize = 5040;
+
+/// A chosen plan with its estimated and (optionally) measured behaviour.
+#[derive(Debug, Clone)]
+pub struct ExplainedPlan {
+    pub twig: FlatTwig,
+    pub costed: CostedPlan,
+    pub execution: Option<Execution>,
+}
+
+impl ExplainedPlan {
+    /// Human-readable EXPLAIN output: one line per join step with
+    /// estimated and actual intermediate sizes.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "plan cost (estimated): {:.1}", self.costed.total);
+        for (i, step) in self.costed.plan.steps.iter().enumerate() {
+            let (p, c, axis) = self.twig.edges[step.0];
+            let axis_str = match axis {
+                Axis::Descendant => "//",
+                Axis::Child => "/",
+            };
+            let actual = self
+                .execution
+                .as_ref()
+                .map(|e| e.step_pairs[i].to_string())
+                .unwrap_or_else(|| "-".into());
+            let algo = match self.costed.step_algos[i] {
+                JoinAlgorithm::Structural => "structural",
+                JoinAlgorithm::Navigational => "navigational",
+            };
+            let _ = writeln!(
+                out,
+                "  step {i}: join {} {axis_str} {}  [{algo}] est_out={:.1} actual_pairs={actual}",
+                self.twig.preds[p], self.twig.preds[c], self.costed.step_outputs[i],
+            );
+        }
+        out
+    }
+}
 
 /// The planning facade over one database. Cheap to construct (the plan
 /// memo lives on the database's prepared entries and persists across
@@ -136,6 +179,53 @@ impl<'db> Planner<'db> {
             return Err(Self::no_edges());
         }
         Ok(ranked)
+    }
+
+    /// EXPLAIN: cheapest plan, optionally executed for actual numbers.
+    /// Runs the full prepared pipeline — the query resolves through the
+    /// shared cache and the plan memo.
+    pub fn explain(&self, path: &str, analyze: bool) -> Result<ExplainedPlan> {
+        let (prepared, costed) = self.plan(path)?;
+        let flat = FlatTwig::from_twig(prepared.twig());
+        let execution = if analyze {
+            Some(execute_plan_with(
+                self.db,
+                &flat,
+                &costed.plan,
+                &costed.step_algos,
+            )?)
+        } else {
+            None
+        };
+        Ok(ExplainedPlan {
+            twig: flat,
+            costed: (*costed).clone(),
+            execution,
+        })
+    }
+
+    /// Executes a specific plan with all-structural steps (for
+    /// best-vs-worst comparisons independent of algorithm choice). The
+    /// plan's step indices must refer to the canonical flattening —
+    /// which every plan produced by this planner does.
+    pub fn execute(&self, twig: &TwigNode, plan: &Plan) -> Result<Execution> {
+        let flat = FlatTwig::from_twig(&twig.canonicalize());
+        execute_plan(self.db, &flat, plan)
+    }
+
+    /// Executes a costed plan honoring its per-step algorithm choices.
+    pub fn execute_costed(&self, twig: &TwigNode, costed: &CostedPlan) -> Result<Execution> {
+        let flat = FlatTwig::from_twig(&twig.canonicalize());
+        execute_plan_with(self.db, &flat, &costed.plan, &costed.step_algos)
+    }
+
+    /// Executes a prepared query end to end: refresh to the current
+    /// epoch, take (or compute) the memoized cheapest plan, run it.
+    pub fn execute_prepared(&self, prepared: &Arc<PreparedQuery>) -> Result<Execution> {
+        let fresh = self.db.refresh_prepared(prepared)?;
+        let costed = self.best_plan(&fresh)?;
+        let flat = FlatTwig::from_twig(fresh.twig());
+        execute_plan_with(self.db, &flat, &costed.plan, &costed.step_algos)
     }
 
     /// Enumerates and costs every connected order of the (canonical)
@@ -277,12 +367,44 @@ mod tests {
             .unwrap();
         let again = planner.ranked_plans(&b).unwrap();
         assert!(Arc::ptr_eq(&ranked, &again), "ranking recomputed");
-        assert_eq!(db.prepared_stats().ranked, 1);
+        assert_eq!(db.telemetry().cache.ranked, 1);
         // Edgeless patterns memoize the empty ranking and keep erroring.
         let single = planner.prepare("//faculty").unwrap();
         assert!(planner.ranked_plans(&single).is_err());
         assert!(planner.ranked_plans(&single).is_err());
         assert_eq!(single.cached_ranked_plans().map(|r| r.len()), Some(0));
+    }
+
+    #[test]
+    fn estimated_order_matches_actual_order() {
+        // The headline claim: ranking plans by estimated cost should
+        // agree with ranking by actual cost, at least at the extremes.
+        let db = skewed_db();
+        let planner = db.planner();
+        let twig = parse_path("//department//faculty[.//TA][.//RA]").unwrap();
+        let costed = planner.costed_plans(&twig).unwrap();
+        let best = costed.first().unwrap();
+        let worst = costed.last().unwrap();
+        let actual_best = planner.execute(&twig, &best.plan).unwrap().total_cost;
+        let actual_worst = planner.execute(&twig, &worst.plan).unwrap().total_cost;
+        assert!(
+            actual_best < actual_worst,
+            "estimated-best actual {actual_best} vs estimated-worst actual {actual_worst}"
+        );
+    }
+
+    #[test]
+    fn explain_renders_steps() {
+        let db = skewed_db();
+        let planner = db.planner();
+        let explained = planner.explain("//faculty[.//TA][.//RA]", true).unwrap();
+        let text = explained.render();
+        assert!(text.contains("plan cost"));
+        assert!(text.contains("step 0"));
+        assert!(text.contains("actual_pairs="));
+        // Without analyze, actuals are dashes.
+        let explained = planner.explain("//faculty[.//TA][.//RA]", false).unwrap();
+        assert!(explained.render().contains("actual_pairs=-"));
     }
 
     #[test]

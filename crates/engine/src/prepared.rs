@@ -135,7 +135,7 @@ pub struct LeafResolution {
 /// A fully prepared query: the canonical twig, its interned identity,
 /// the leaf resolutions, the epoch they are valid for, and a slot for
 /// the memoized cheapest plan. Everything downstream — `estimate`,
-/// `estimate_batch`, plan execution — consumes one of these.
+/// planning, plan execution — consumes one of these.
 #[derive(Debug)]
 pub struct PreparedQuery {
     id: TwigId,
@@ -230,9 +230,8 @@ impl PreparedQuery {
     }
 }
 
-/// Counter snapshot of a [`PreparedCache`] — the service's
-/// observability surface, also reachable as the `cache` field of the
-/// unified [`crate::Telemetry`] snapshot.
+/// Counter snapshot of a [`PreparedCache`] — the `cache` section of
+/// the unified [`crate::Telemetry`] snapshot.
 ///
 /// **Reset contract:** `hits`/`misses`/`invalidations`/`evictions` are
 /// monotonic for the life of the owning database — they are backed by
@@ -651,11 +650,6 @@ impl PreparedCache {
     /// [`frozen_twigs`]: PreparedCache::frozen_twigs
     fn invalidate_frozen(&self) {
         *self.frozen.write().expect("prepared cache lock") = None; // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
-    }
-
-    /// Number of live tier-1 (query-string) entries.
-    pub(crate) fn len(&self) -> usize {
-        self.by_path.read().expect("prepared cache lock").map.len() // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
     }
 
     /// Counter snapshot. Locks are taken one at a time, tier 1 first —

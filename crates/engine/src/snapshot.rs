@@ -58,9 +58,9 @@ pub struct Snapshot {
     coeffs: Arc<CoeffCache>,
     twigs: FrozenTwigs,
     /// The owning database's observability handle: snapshots record
-    /// kernel latency and serve counters into the same recorder the
-    /// database and its services share, so telemetry is one view no
-    /// matter which entry point served the estimate.
+    /// kernel latency and serve counters into the database's own
+    /// recorder, so telemetry is one view no matter which entry point
+    /// served the estimate.
     obs: Recorder,
     metrics: Metrics,
 }
@@ -93,16 +93,14 @@ impl Snapshot {
         &self.obs
     }
 
-    /// Engine metric handles (shared with the owning database).
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Counts one served estimate (and, when `!ok`, one error). Gated on
     /// the recorder's enabled flag so the `telemetry_overhead` bench's
-    /// off-mode really is increment-free.
+    /// off-mode really is increment-free. Crate-visible so
+    /// [`crate::Database::estimate`] can count a failed prepared-cache
+    /// resolution the way [`Snapshot::estimate_with`] counts a failed
+    /// parse.
     #[inline]
-    fn note(&self, ok: bool) {
+    pub(crate) fn note(&self, ok: bool) {
         if self.obs.enabled() {
             self.metrics.estimates.inc();
             if !ok {
@@ -149,12 +147,14 @@ impl Snapshot {
         Ok(Arc::new(parse_path(path)?.canonicalize()))
     }
 
-    /// Estimates a path query against this snapshot (thread-local
-    /// workspace). Wait-free with respect to concurrent mutations: the
-    /// whole computation reads this snapshot only.
+    /// Estimates a path query against this snapshot on the estimator's
+    /// thread-local workspace — allocation-free once warm for a path in
+    /// the frozen twig map. Wait-free with respect to concurrent
+    /// mutations: the whole computation reads this snapshot only.
     pub fn estimate(&self, path: &str) -> Result<Estimate> {
-        let mut ws = TwigWorkspace::default();
-        self.estimate_with(&mut ws, path)
+        let res = self.resolve(path).and_then(|twig| self.kernel(&twig));
+        self.note(res.is_ok());
+        res
     }
 
     /// [`Snapshot::estimate`] on a caller-owned workspace — the
@@ -173,9 +173,17 @@ impl Snapshot {
         res
     }
 
-    /// Estimates a pre-parsed twig on a caller-owned workspace. The twig
-    /// is evaluated as given (no canonicalization) — canonicalize first
-    /// for bit-stability against the path-string entry points.
+    /// Estimates a pre-parsed twig on the estimator's thread-local
+    /// workspace. The twig is evaluated as given (no canonicalization) —
+    /// canonicalize first for bit-stability against the path-string
+    /// entry points.
+    pub fn estimate_twig(&self, twig: &TwigNode) -> Result<Estimate> {
+        let out = self.kernel(twig);
+        self.note(out.is_ok());
+        out
+    }
+
+    /// [`Snapshot::estimate_twig`] on a caller-owned workspace.
     pub fn estimate_twig_with(&self, ws: &mut TwigWorkspace, twig: &TwigNode) -> Result<Estimate> {
         let span = self.obs.span_sampled(Stage::Kernel);
         let out = self.estimator().estimate_twig_with(ws, twig);
@@ -184,23 +192,24 @@ impl Snapshot {
         Ok(out?)
     }
 
-    /// Estimates a batch of paths, deduplicating repeated strings so
-    /// each distinct path is resolved and estimated exactly once (the
-    /// per-path results are bit-identical to [`Snapshot::estimate`]).
-    /// Result order matches the batch; per-path errors come back in
-    /// their own slot.
-    pub fn estimate_batch(&self, paths: &[&str]) -> Vec<Result<Estimate>> {
-        let mut ws = TwigWorkspace::default();
-        self.estimate_batch_with(&mut ws, paths)
+    /// One uncounted kernel run on the thread-local workspace. Sampled:
+    /// per-op kernel timing at full cadence costs two clock reads on a
+    /// sub-microsecond warm path.
+    fn kernel(&self, twig: &TwigNode) -> Result<Estimate> {
+        let span = self.obs.span_sampled(Stage::Kernel);
+        let out = self.estimator().estimate_twig(twig);
+        drop(span);
+        Ok(out?)
     }
 
-    /// [`Snapshot::estimate_batch`] on a caller-owned workspace — what
-    /// the admission-front workers run.
-    pub fn estimate_batch_with(
-        &self,
-        ws: &mut TwigWorkspace,
-        paths: &[&str],
-    ) -> Vec<Result<Estimate>> {
+    /// Estimates a batch of paths. Serving batches repeat the same few
+    /// strings, so each distinct string is resolved and estimated
+    /// exactly once and its result fanned back to every slot that asked
+    /// for it — bit-identical to per-path [`Snapshot::estimate`] calls,
+    /// since estimation is deterministic per twig. Result order matches
+    /// the batch; per-path errors come back in their own slot. Every
+    /// slot counts as one served estimate.
+    pub fn estimate_batch(&self, paths: &[&str]) -> Vec<Result<Estimate>> {
         let mut distinct: Vec<&str> = Vec::new();
         let mut class_of: HashMap<&str, usize> = HashMap::with_capacity(paths.len());
         let slots: Vec<usize> = paths
@@ -212,21 +221,12 @@ impl Snapshot {
                 })
             })
             .collect();
-        let est = self.estimator();
         let results: Vec<Result<Estimate>> = distinct
             .iter()
-            .map(|&p| {
-                let twig = self.resolve(p)?;
-                let span = self.obs.span_sampled(Stage::Kernel);
-                let out = est.estimate_twig_with(ws, &twig);
-                drop(span);
-                Ok(out?)
-            })
+            .map(|&p| self.resolve(p).and_then(|twig| self.kernel(&twig)))
             .collect();
         if self.obs.enabled() {
             self.metrics.batches.inc();
-            // Every slot is a served estimate, dedup or not — the
-            // counter reads as request throughput, not kernel runs.
             self.metrics.estimates.add(paths.len() as u64);
             let errors = slots.iter().filter(|&&i| results[i].is_err()).count();
             if errors > 0 {
@@ -288,5 +288,88 @@ impl SnapshotCell {
             next.validate()
         });
         self.inner.store(Arc::new(next));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::db::Database;
+    use xmlest_core::SummaryConfig;
+
+    fn collection() -> Database {
+        let docs: Vec<(String, String)> = (0..6)
+            .map(|i| {
+                let body = "<sec><p/><p/><note/></sec>".repeat(i + 1);
+                (format!("d{i}.xml"), format!("<doc>{body}</doc>"))
+            })
+            .collect();
+        Database::load_documents(
+            docs.iter().map(|(n, x)| (n.as_str(), x.as_str())),
+            &SummaryConfig::paper_defaults().with_grid_size(8),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn batch_is_bit_identical_to_single_estimates() {
+        let db = collection();
+        let snap = db.snapshot();
+        // 1024 slots over four strings, two of which spell one twig.
+        let paths = ["//doc//p", "//sec//p", "//doc//note", "/doc//sec//p"];
+        let batch: Vec<&str> = (0..1024).map(|i| paths[i % paths.len()]).collect();
+        let before = db.telemetry().counter("xmlest_estimates_total").unwrap();
+        let results = snap.estimate_batch(&batch);
+        let after = db.telemetry().counter("xmlest_estimates_total").unwrap();
+        assert_eq!(after - before, batch.len() as u64, "every slot counts");
+        assert_eq!(results.len(), batch.len());
+        for (p, r) in batch.iter().zip(&results) {
+            let got = r.as_ref().unwrap().value.to_bits();
+            assert_eq!(got, snap.estimate(p).unwrap().value.to_bits(), "{p}");
+            assert_eq!(got, db.estimate(p).unwrap().value.to_bits(), "{p}");
+        }
+        // A pre-parsed canonical twig estimates identically too.
+        let twig = xmlest_query::parse_path("//sec//p").unwrap().canonicalize();
+        assert_eq!(
+            snap.estimate_twig(&twig).unwrap().value.to_bits(),
+            results[1].as_ref().unwrap().value.to_bits()
+        );
+    }
+
+    #[test]
+    fn batch_reports_errors_in_their_own_slots() {
+        let db = collection();
+        let batch: Vec<&str> = (0..64)
+            .map(|i| {
+                if i % 5 == 3 {
+                    "//sec//GHOST"
+                } else {
+                    "//sec//p"
+                }
+            })
+            .collect();
+        let results = db.snapshot().estimate_batch(&batch);
+        let want = db.estimate("//sec//p").unwrap().value.to_bits();
+        for (i, r) in results.iter().enumerate() {
+            if i % 5 == 3 {
+                assert!(r.is_err(), "slot {i}");
+            } else {
+                assert_eq!(r.as_ref().unwrap().value.to_bits(), want, "slot {i}");
+            }
+        }
+        let t = db.telemetry();
+        assert_eq!(t.counter("xmlest_estimate_errors_total"), Some(13));
+    }
+
+    #[test]
+    fn batch_works_on_catalog_opened_database() {
+        let db = collection();
+        let reopened = Database::open_catalog(&db.save_catalog()).unwrap();
+        let want = db.estimate("//sec//p").unwrap().value.to_bits();
+        for r in reopened
+            .snapshot()
+            .estimate_batch(&["//sec//p", "//sec//p"])
+        {
+            assert_eq!(r.unwrap().value.to_bits(), want);
+        }
     }
 }

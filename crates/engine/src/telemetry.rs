@@ -2,15 +2,12 @@
 //! the engine knows about its own behavior, plus the estimate
 //! provenance report.
 //!
-//! Before this module the engine's observability was four ad-hoc stats
-//! structs ([`ServiceStats`], [`MaintenanceStats`], [`FrontStats`],
-//! [`CacheStats`]) with no timing, no event history and inconsistent
-//! reset semantics. [`Telemetry`] subsumes all four (they remain as
-//! thin compatibility views — see [`Telemetry::service_stats`] etc.)
-//! and adds the `xobs` registry counters, per-stage latency quantiles,
-//! and the recent event journal, with two serde-free exporters:
-//! Prometheus exposition text ([`Telemetry::to_prometheus`]) and
-//! hand-rolled JSON ([`Telemetry::to_json`]), matching the repo's
+//! [`Telemetry`] is the engine's one stats surface: the prepared-cache
+//! section ([`CacheStats`]), the grid-maintenance section
+//! ([`MaintenanceStats`]), the `xobs` registry counters, per-stage
+//! latency quantiles, and the recent event journal, with two serde-free
+//! exporters: Prometheus exposition text ([`Telemetry::to_prometheus`])
+//! and hand-rolled JSON ([`Telemetry::to_json`]), matching the repo's
 //! hand-rolled persistence idiom.
 //!
 //! **Reset contract.** Everything counter-like in a [`Telemetry`]
@@ -18,11 +15,11 @@
 //! counts, `events_total`) is **monotonic for the life of the
 //! database** — nothing resets it; rate consumers diff successive
 //! snapshots. Level gauges (cache population, drift, strike counts,
-//! degraded flags, pooled workspaces) move in both directions;
-//! [`MaintenanceStats`] documents which of its fields is which.
+//! degraded flags) move in both directions; [`MaintenanceStats`]
+//! documents which of its fields is which.
 //!
 //! [`TraceReport`] is the latency counterpart of the plan EXPLAIN:
-//! [`crate::EstimationService::estimate_traced`] runs the pipeline
+//! [`crate::Database::estimate_traced`] runs the pipeline
 //! stage by stage (parse → canonicalize → prepare → plan → kernel) and
 //! reports where the time went, which plan and per-edge kernels served
 //! the estimate, and how the prepared cache was met.
@@ -30,7 +27,6 @@
 use crate::cost::CostedPlan;
 use crate::maintenance::MaintenanceStats;
 use crate::prepared::{CacheStats, CacheTier, TwigId};
-use crate::service::{FrontStats, ServiceStats};
 use std::sync::Arc;
 use xmlest_core::{Axis, Summaries, TwigNode};
 use xmlest_predicate::PredExpr;
@@ -38,24 +34,18 @@ use xmlest_xobs::{Counter, CounterSample, Event, HistogramSnapshot, Recorder, St
 
 /// The engine's registered warm-path counters, created once per
 /// database against its [`Recorder`]'s typed registry. Handles are
-/// shared (sharded `Arc`s), so snapshots, fronts and services all
-/// increment the same cells.
+/// shared (sharded `Arc`s), so every snapshot of a database increments
+/// the same cells.
 #[derive(Debug, Clone)]
 pub(crate) struct Metrics {
-    /// Estimates served through snapshots and services.
+    /// Estimates served by snapshots.
     pub(crate) estimates: Counter,
     /// Estimates that returned an error.
     pub(crate) estimate_errors: Counter,
-    /// `estimate_batch*` calls.
+    /// `Snapshot::estimate_batch` calls.
     pub(crate) batches: Counter,
     /// Serving snapshots published.
     pub(crate) publishes: Counter,
-    /// Requests admitted by an admission front.
-    pub(crate) front_admitted: Counter,
-    /// Batch calls those admissions coalesced into.
-    pub(crate) front_batches: Counter,
-    /// Admissions that rode an already-open batch.
-    pub(crate) front_coalesced: Counter,
 }
 
 impl Metrics {
@@ -64,10 +54,7 @@ impl Metrics {
     /// against one recorder yields handles to the same cells.
     pub(crate) fn register(rec: &Recorder) -> Metrics {
         Metrics {
-            estimates: rec.counter(
-                "xmlest_estimates_total",
-                "Estimates served through snapshots and estimation services.",
-            ),
+            estimates: rec.counter("xmlest_estimates_total", "Estimates served by snapshots."),
             estimate_errors: rec.counter(
                 "xmlest_estimate_errors_total",
                 "Estimate calls that returned an error.",
@@ -79,18 +66,6 @@ impl Metrics {
             publishes: rec.counter(
                 "xmlest_snapshot_publishes_total",
                 "Serving snapshots published at mutation commit points.",
-            ),
-            front_admitted: rec.counter(
-                "xmlest_front_admitted_total",
-                "Requests admitted by the admission front's bounded queue.",
-            ),
-            front_batches: rec.counter(
-                "xmlest_front_batches_total",
-                "Batch calls the admission front coalesced requests into.",
-            ),
-            front_coalesced: rec.counter(
-                "xmlest_front_coalesced_total",
-                "Admitted requests that rode an already-open batch.",
             ),
         }
     }
@@ -132,11 +107,11 @@ impl StageLatency {
     }
 }
 
-/// One coherent observability snapshot of a database (or the service
-/// wrapping it): epoch, degradation, the four legacy stats views, the
+/// One coherent observability snapshot of a database: epoch,
+/// degradation, the prepared-cache and maintenance sections, the
 /// registry counters, per-stage latency quantiles, and the recent
-/// event journal. Built by [`crate::Database::telemetry`] /
-/// [`crate::EstimationService::telemetry`].
+/// event journal. Built by [`crate::Database::telemetry`] and
+/// [`crate::MaintenanceWorker::telemetry`].
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     /// Current epoch (monotonic version of everything estimates derive
@@ -150,16 +125,11 @@ pub struct Telemetry {
     pub refresh_degraded: bool,
     /// Documents quarantined and awaiting repair.
     pub quarantined_shards: usize,
-    /// Idle pooled estimation workspaces (0 when gathered from a bare
-    /// database).
-    pub pooled_workspaces: usize,
-    /// Prepared-query cache view (monotonic counters + population
+    /// Prepared-query cache section (monotonic counters + population
     /// gauges).
     pub cache: CacheStats,
-    /// Grid maintenance view.
+    /// Grid maintenance section.
     pub maintenance: MaintenanceStats,
-    /// Admission-front view (all fronts of this database combined).
-    pub front: FrontStats,
     /// Every registered counter, folded.
     pub counters: Vec<CounterSample>,
     /// Per-stage latency quantiles, pipeline order.
@@ -174,33 +144,23 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Assembles the unified snapshot from its per-layer parts.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn gather(
         rec: &Recorder,
-        metrics: &Metrics,
         epoch: u64,
         store_degraded: bool,
         quarantined_shards: usize,
-        pooled_workspaces: usize,
         cache: CacheStats,
         maintenance: MaintenanceStats,
     ) -> Telemetry {
         let obs = rec.snapshot();
-        let front = FrontStats {
-            admitted: metrics.front_admitted.value(),
-            batches: metrics.front_batches.value(),
-            coalesced: metrics.front_coalesced.value(),
-        };
         Telemetry {
             epoch,
             degraded: store_degraded || maintenance.refresh_degraded,
             store_degraded,
             refresh_degraded: maintenance.refresh_degraded,
             quarantined_shards,
-            pooled_workspaces,
             cache,
             maintenance,
-            front,
             counters: obs.counters,
             stages: obs
                 .stages
@@ -211,31 +171,6 @@ impl Telemetry {
             events_total: obs.events_total,
             recording_enabled: obs.enabled,
         }
-    }
-
-    /// The legacy [`ServiceStats`] view of this snapshot.
-    pub fn service_stats(&self) -> ServiceStats {
-        ServiceStats {
-            cache: self.cache,
-            epoch: self.epoch,
-            pooled_workspaces: self.pooled_workspaces,
-        }
-    }
-
-    /// The legacy [`CacheStats`] view of this snapshot.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-    }
-
-    /// The legacy [`FrontStats`] view of this snapshot (every front of
-    /// the database combined).
-    pub fn front_stats(&self) -> FrontStats {
-        self.front
-    }
-
-    /// The legacy [`MaintenanceStats`] view of this snapshot.
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
-        self.maintenance
     }
 
     /// The named counter's folded value, if registered.
@@ -268,7 +203,7 @@ impl Telemetry {
             out.push_str(&c.value.to_string());
             out.push('\n');
         }
-        let gauges: [(&str, &str, u64); 8] = [
+        let gauges: [(&str, &str, u64); 7] = [
             (
                 "xmlest_epoch",
                 "Monotonic version of everything estimates derive from.",
@@ -298,11 +233,6 @@ impl Telemetry {
                 "xmlest_cache_entries",
                 "Live tier-1 prepared-cache entries.",
                 self.cache.entries as u64,
-            ),
-            (
-                "xmlest_pooled_workspaces",
-                "Idle pooled estimation workspaces.",
-                self.pooled_workspaces as u64,
             ),
             (
                 "xmlest_events_total",
@@ -358,7 +288,6 @@ impl Telemetry {
             "quarantined_shards",
             self.quarantined_shards as u64,
         );
-        json_u64(&mut out, "pooled_workspaces", self.pooled_workspaces as u64);
         json_bool(&mut out, "recording_enabled", self.recording_enabled);
 
         out.push_str("\"cache\":{");
@@ -371,12 +300,6 @@ impl Telemetry {
         json_u64(&mut out, "interned", self.cache.interned as u64);
         json_u64(&mut out, "planned", self.cache.planned as u64);
         json_u64_last(&mut out, "ranked", self.cache.ranked as u64);
-        out.push_str("},");
-
-        out.push_str("\"front\":{");
-        json_u64(&mut out, "admitted", self.front.admitted);
-        json_u64(&mut out, "batches", self.front.batches);
-        json_u64_last(&mut out, "coalesced", self.front.coalesced);
         out.push_str("},");
 
         let m = &self.maintenance;
@@ -539,7 +462,7 @@ pub struct EdgeKernel {
 }
 
 /// The estimate-provenance report returned by
-/// [`crate::EstimationService::estimate_traced`]: the estimate plus
+/// [`crate::Database::estimate_traced`]: the estimate plus
 /// everything that produced it — resolved identity, epoch, cache tier,
 /// chosen plan, per-edge kernels, and per-stage wall-clock timings.
 /// The EXPLAIN-for-latency counterpart of the plan EXPLAIN

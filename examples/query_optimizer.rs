@@ -11,7 +11,7 @@
 
 use xmlest::core::SummaryConfig;
 use xmlest::datagen::dept::{generate_dept, DeptOptions};
-use xmlest::engine::{Database, Optimizer};
+use xmlest::engine::Database;
 use xmlest::prelude::*;
 use xmlest::xml::serialize::{to_xml_string, WriteOptions};
 
@@ -26,18 +26,21 @@ fn main() {
     let query = "//manager//department[.//employee][.//email]";
     println!("query: {query}\n");
 
-    let opt = Optimizer::new(&db);
+    let planner = db.planner();
     let twig = parse_path(query).expect("query parses");
     // The full ranking is memoized per (canonical twig, epoch):
     // repeated EXPLAIN calls share one Arc and skip re-enumeration.
-    let plans = opt.ranked_plans(&twig).expect("plans enumerate");
+    let prepared = planner.prepare_twig(&twig).expect("query prepares");
+    let plans = planner.ranked_plans(&prepared).expect("plans enumerate");
     println!("{} connected join orders considered", plans.len());
 
     let best = plans.first().expect("at least one plan").clone();
     let worst = plans.last().expect("at least one plan").clone();
 
-    let best_exec = opt.execute_costed(&twig, &best).expect("best executes");
-    let worst_exec = opt.execute_costed(&twig, &worst).expect("worst executes");
+    let best_exec = planner.execute_costed(&twig, &best).expect("best executes");
+    let worst_exec = planner
+        .execute_costed(&twig, &worst)
+        .expect("worst executes");
 
     println!(
         "\nbest plan (by estimate):   est cost {:>10.1}  actual cost {:>8}",
@@ -54,7 +57,7 @@ fn main() {
 
     // EXPLAIN ANALYZE the chosen plan.
     println!("\nEXPLAIN ANALYZE (best plan):");
-    let explained = opt.explain(query, true).expect("explain");
+    let explained = planner.explain(query, true).expect("explain");
     print!("{}", explained.render());
 
     // Sanity: the engine's answer matches the exact matcher.

@@ -6,13 +6,11 @@
 //! Each frame prints throughput (from diffed monotonic counters —
 //! the documented way to turn the telemetry's lifetime totals into
 //! rates), cache hit rates, per-stage latency quantiles, the serving
-//! gauges (epoch, degraded flags, pooled workspaces) and the tail of
-//! the structured event journal. The final frame also dumps the two
-//! exporter formats so their shapes are visible.
+//! gauges (epoch, degraded flags, grid occupancy and drift) and the
+//! tail of the structured event journal. The final frame also dumps
+//! the two exporter formats so their shapes are visible.
 //!
 //! Run with: `cargo run --release --example telemetry_top [frames]`
-//!
-//! [`EstimationService`]: xmlest::engine::service::EstimationService
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -70,7 +68,7 @@ fn render(frame: usize, dt: Duration, prev: &Telemetry, now: &Telemetry) {
     );
     let lookups = now.cache.hits + now.cache.misses;
     println!(
-        "cache:      {:>6} entries  hit rate {:>5.1}%  evictions {}  pooled workspaces {}",
+        "cache:      {:>6} entries  hit rate {:>5.1}%  evictions {}",
         now.cache.entries,
         if lookups == 0 {
             100.0
@@ -78,7 +76,6 @@ fn render(frame: usize, dt: Duration, prev: &Telemetry, now: &Telemetry) {
             100.0 * now.cache.hits as f64 / lookups as f64
         },
         now.cache.evictions,
-        now.pooled_workspaces,
     );
     println!(
         "serving:    degraded={} store_degraded={} refresh_degraded={} quarantined={}  \
@@ -175,8 +172,7 @@ fn main() {
         stop.store(true, Ordering::Relaxed);
     });
 
-    let svc = db.service();
-    let t = svc.telemetry();
+    let t = db.telemetry();
     println!("\n== exporter formats ==");
     println!("--- Prometheus exposition (first 12 lines) ---");
     for line in t.to_prometheus().lines().take(12) {

@@ -43,7 +43,7 @@
 //! | [`core`] | `xmlest-core` | flat (CSR) position/coverage histograms, zero-allocation pH-join kernels, estimator, coefficient cache, per-document summary shards, persistent catalog format |
 //! | [`query`] | `xmlest-query` | path parser, exact matcher, structural joins |
 //! | [`datagen`] | `xmlest-datagen` | DBLP/dept/XMark/Shakespeare generators |
-//! | [`engine`] | `xmlest-engine` | indexes, plans, cost-based optimizer, sharded document collections, catalog open/save, batch estimation service |
+//! | [`engine`] | `xmlest-engine` | indexes, plans, cost-based optimizer, sharded document collections, catalog open/save, wait-free snapshot serving |
 //!
 //! Benchmark workloads live in `xmlest-bench` (not re-exported), and
 //! `crates/shims/` holds offline stand-ins for `rand`, `rayon`,
@@ -78,10 +78,11 @@
 //! [`engine::prepared`] and [`engine::planner`]): equivalent spellings
 //! share one hash-consed identity, cheapest plans memoize per canonical
 //! twig, and a monotonic database *epoch* invalidates prepared state on
-//! every collection mutation — a stale plan is never served. Batched
-//! serving goes through [`engine::service::EstimationService`]: the
-//! two-tier prepared cache plus a workspace pool, allocation-free per
-//! worker once warm.
+//! every collection mutation — a stale plan is never served. Every
+//! estimate — single, batched, or from another thread under live
+//! maintenance — runs on an epoch-stamped [`engine::Snapshot`], the one
+//! read path; warm estimates are allocation-free. Plans, EXPLAIN and
+//! execution go through [`engine::Planner`].
 
 pub use xmlest_core as core;
 pub use xmlest_datagen as datagen;
@@ -96,7 +97,7 @@ pub mod prelude {
         Basis, Estimate, EstimateMethod, Estimator, Grid, PositionHistogram, Summaries,
         SummaryConfig, TwigNode,
     };
-    pub use xmlest_engine::{Database, Optimizer};
+    pub use xmlest_engine::{Database, Planner};
     pub use xmlest_predicate::{BasePredicate, Catalog, PredExpr};
     pub use xmlest_query::{count_matches, parse_path};
     pub use xmlest_xml::{Interval, TreeBuilder, XmlTree};

@@ -18,7 +18,7 @@ use xmlest::core::{
 };
 use xmlest::engine::cost::{cost_plan_with, CostWorkspace};
 use xmlest::engine::plan::{enumerate_plans, FlatTwig};
-use xmlest::engine::{Database, TwigRef};
+use xmlest::engine::Database;
 use xmlest::prelude::Catalog;
 use xmlest::xml::parser::parse_str;
 use xmlest::xml::Interval;
@@ -214,12 +214,15 @@ fn warm_join_kernels_allocate_nothing() {
     assert!(expected_cost.is_finite() && expected_cost > 0.0);
     assert!((cost_sum - 250.0 * expected_cost).abs() < 1e-6 * expected_cost.max(1.0));
 
-    // ---- batch estimation service, per-worker steady state ----
+    // ---- warm estimate entry points ----
     //
-    // `estimate_batch_into` is the exact loop one parallel worker runs
-    // over its share of a batch: pooled workspace, cached twigs, results
-    // into a reused buffer. Warm, it must be allocation-free.
-    let db = Database::load_documents(
+    // Every estimate runs on a published snapshot. Once warm, no entry
+    // point may touch the allocator: `Database::estimate` and
+    // `Database::estimate_prepared` (a prepared-cache hit — read-locked
+    // map probe, epoch check, reference-bit store, `Arc` clone — then
+    // the snapshot's thread-local workspace), and `Snapshot::estimate_with`
+    // / `Snapshot::estimate` on paths in the snapshot's frozen twig map.
+    let mut db = Database::load_documents(
         [
             ("a.xml", xml.as_str()),
             (
@@ -230,75 +233,53 @@ fn warm_join_kernels_allocate_nothing() {
         &SummaryConfig::paper_defaults().with_grid_size(16),
     )
     .unwrap();
-    let svc = db.service();
     let paths = [
         "//department//faculty//TA",
         "//faculty//RA",
         "//department//name",
         "//faculty//name",
     ];
-    let batch: Vec<TwigRef> = paths.iter().map(|&p| TwigRef::Path(p)).collect();
-    let mut results = Vec::new();
-    // Warm-up: parse cache fills, pool and buffers grow.
-    for _ in 0..3 {
-        svc.estimate_batch_into(&batch, &mut results);
-        assert!(results.iter().all(Result::is_ok));
+    for p in paths {
+        db.estimate(p).unwrap();
     }
-    let expected_batch: f64 = results.iter().map(|r| r.as_ref().unwrap().value).sum();
-    let mut batch_sum = 0.0;
-    let mut min_delta = usize::MAX;
-    for _ in 0..5 {
-        let before = allocation_count();
-        for _ in 0..50 {
-            svc.estimate_batch_into(&batch, &mut results);
-            batch_sum += results
-                .iter()
-                .map(|r| r.as_ref().unwrap().value)
-                .sum::<f64>();
+    // The next publish freezes the prepared paths into its twig map.
+    db.add_document(
+        "c.xml",
+        "<department><faculty><name/><RA/></faculty></department>",
+    )
+    .unwrap();
+    let snap = db.snapshot();
+    let hot = paths[0];
+    let held = db.prepare(hot).unwrap();
+    let mut ws = TwigWorkspace::new();
+    let mut warm = |sum: &mut f64| {
+        *sum += db.estimate(hot).unwrap().value;
+        *sum += db.estimate_prepared(&held).unwrap().value;
+        for p in paths {
+            *sum += snap.estimate_with(&mut ws, p).unwrap().value;
+            *sum += snap.estimate(p).unwrap().value;
         }
-        min_delta = min_delta.min(allocation_count() - before);
+    };
+    let mut expected_single = 0.0;
+    for _ in 0..3 {
+        expected_single = 0.0;
+        warm(&mut expected_single);
     }
-    assert_eq!(
-        min_delta, 0,
-        "warm service batches performed {min_delta} heap allocations in every round"
-    );
-    assert!(expected_batch.is_finite() && expected_batch > 0.0);
-    assert!((batch_sum - 250.0 * expected_batch).abs() < 1e-6 * expected_batch.max(1.0));
-
-    // ---- warm prepared-query path: cache hit -> estimate ----
-    //
-    // The last allocating step in the serving loop was query
-    // resolution; the prepared cache's warm path is a read-locked map
-    // probe, an epoch check, an LRU stamp and an `Arc` clone. A warm
-    // single-shot estimate — through the service (pooled workspace),
-    // through a held `PreparedQuery` handle, and through the plain
-    // `Database::estimate` (thread-local workspace) — must not touch
-    // the allocator at all.
-    let hot = "//department//faculty//TA";
-    let held = svc.prepare(hot).unwrap();
     let mut single_sum = 0.0;
-    for _ in 0..3 {
-        single_sum += svc.estimate(hot).unwrap().value;
-        single_sum += svc.estimate_prepared(&held).unwrap().value;
-        single_sum += db.estimate(hot).unwrap().value;
-    }
-    let expected_single = svc.estimate(hot).unwrap().value;
     let mut min_delta = usize::MAX;
     for _ in 0..5 {
         let before = allocation_count();
         for _ in 0..50 {
-            single_sum += svc.estimate(hot).unwrap().value;
-            single_sum += svc.estimate_prepared(&held).unwrap().value;
-            single_sum += db.estimate(hot).unwrap().value;
+            warm(&mut single_sum);
         }
         min_delta = min_delta.min(allocation_count() - before);
     }
     assert_eq!(
         min_delta, 0,
-        "warm prepared-query estimates performed {min_delta} heap allocations in every round"
+        "warm estimates performed {min_delta} heap allocations in every round"
     );
     assert!(expected_single.is_finite() && expected_single > 0.0);
-    assert!(single_sum > 0.0);
+    assert!((single_sum - 250.0 * expected_single).abs() < 1e-6 * expected_single);
 
     // ---- instrumented warm path: recording is zero-alloc ----
     //
@@ -322,8 +303,8 @@ fn warm_join_kernels_allocate_nothing() {
     for round in 0..5u64 {
         let before = allocation_count();
         for i in 0..50u64 {
-            obs_sum += svc.estimate(hot).unwrap().value;
-            obs_sum += svc.estimate_prepared(&held).unwrap().value;
+            obs_sum += db.estimate(hot).unwrap().value;
+            obs_sum += db.estimate_prepared(&held).unwrap().value;
             rec.event(xmlest::engine::EventKind::CacheEviction, round, i, 0);
         }
         min_delta = min_delta.min(allocation_count() - before);
@@ -337,7 +318,7 @@ fn warm_join_kernels_allocate_nothing() {
         .telemetry()
         .counter("xmlest_estimates_total")
         .unwrap_or(0);
-    // 250 service estimates + 250 prepared estimates landed.
+    // 250 path estimates + 250 prepared estimates landed.
     assert!(
         estimates_after >= estimates_before + 500,
         "recording was supposed to be live: {estimates_before} -> {estimates_after}"

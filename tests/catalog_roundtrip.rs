@@ -243,7 +243,7 @@ fn v1_catalog_fixture_opens_with_static_policy() {
     );
     assert_eq!(reopened.document_names(), vec!["a.xml", "b.xml"]);
     // Drift accounting starts fresh (nothing was persisted).
-    let stats = reopened.maintenance_stats();
+    let stats = reopened.telemetry().maintenance;
     assert_eq!(stats.mutations_since_derive, 0);
     assert_eq!(stats.skew, 0.0);
 
@@ -276,5 +276,62 @@ fn v1_catalog_fixture_opens_with_static_policy() {
             again.estimate(path).unwrap().value.to_bits(),
             reopened.estimate(path).unwrap().value.to_bits()
         );
+    }
+}
+
+/// FNV-1a 64, the catalog's section and payload checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checksums are corruption detection, not authentication: a crafted
+/// catalog can inflate a length prefix and recompute every checksum.
+/// Opening it must be a clean `Err` — never an allocation sized by the
+/// hostile count (which aborts the process).
+#[test]
+fn inflated_length_prefix_with_valid_checksums_is_rejected() {
+    const HEADER_LEN: usize = 22;
+    const FRAME_HEADER_LEN: usize = 17;
+    const SEC_MERGED: u8 = 2;
+    const SEC_SHARD: u8 = 3;
+    let db = Database::load_documents(
+        [("a.xml", "<doc><sec><p/><p/></sec><sec><p/></sec></doc>")],
+        &SummaryConfig::paper_defaults().with_grid_size(6),
+    )
+    .unwrap();
+    let bytes = db.save_catalog();
+
+    // Every summaries body starts with magic (4) and version (2), then
+    // the grid's boundary count; shard bodies prefix a u32 index.
+    for (kind, count_at) in [(SEC_MERGED, 6), (SEC_SHARD, 4 + 6)] {
+        let mut bad = bytes.clone();
+        let mut at = HEADER_LEN;
+        loop {
+            let len = u64::from_le_bytes(bad[at + 1..at + 9].try_into().unwrap()) as usize;
+            if bad[at] == kind {
+                let body = at + FRAME_HEADER_LEN;
+                bad[body + count_at..body + count_at + 4]
+                    .copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+                let sum = fnv1a64(&bad[body..body + len]);
+                bad[at + 9..at + 17].copy_from_slice(&sum.to_le_bytes());
+                break;
+            }
+            at += FRAME_HEADER_LEN + len;
+        }
+        let sum = fnv1a64(&bad[HEADER_LEN..]);
+        bad[14..22].copy_from_slice(&sum.to_le_bytes());
+
+        match Database::open_catalog(&bad) {
+            Err(xmlest::engine::Error::Core(CoreError::Corrupt(msg))) => {
+                assert!(msg.contains("length prefix"), "kind {kind}: {msg:?}");
+            }
+            Err(other) => panic!("kind {kind}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("kind {kind}: inflated length prefix accepted"),
+        }
+        // Lenient opens may rebuild around the damage, but must not
+        // abort or panic either.
+        let _ = Database::open_catalog_degraded(&bad);
     }
 }

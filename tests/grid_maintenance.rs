@@ -56,13 +56,13 @@ fn stable_append_rebuckets_zero_existing_shards() {
     let grid_before = db.summaries().grid().clone();
     let epoch = db.epoch();
 
-    let stats = db.maintenance_stats();
+    let stats = db.telemetry().maintenance;
     assert!(stats.slack_remaining() >= 10, "policy must leave slack");
 
     // The appended document (with a brand-new tag) fits in the slack.
     db.add_document("c.xml", &doc("gamma", 5)).unwrap();
 
-    let stats = db.maintenance_stats();
+    let stats = db.telemetry().maintenance;
     assert_eq!(stats.stable_appends, 1, "append must take the stable path");
     assert_eq!(stats.grid_moves, 0);
     assert_eq!(stats.refreshes, 0);
@@ -85,7 +85,7 @@ fn stable_append_rebuckets_zero_existing_shards() {
     // Stable removal of the newest document undoes it in place.
     let gen_merged = db.shard_summaries("a.xml").unwrap().generation();
     db.remove_document("c.xml").unwrap();
-    let stats = db.maintenance_stats();
+    let stats = db.telemetry().maintenance;
     assert_eq!(stats.stable_removes, 1);
     assert_eq!(stats.grid_moves, 0);
     assert_eq!(
@@ -112,14 +112,14 @@ fn overflowing_append_moves_the_grid() {
     .unwrap();
     // ~10% slack on a 7-node collection cannot hold a 30-node document.
     db.add_document("big.xml", &doc("beta", 28)).unwrap();
-    let stats = db.maintenance_stats();
+    let stats = db.telemetry().maintenance;
     assert_eq!(stats.stable_appends, 0);
     assert_eq!(stats.overflow_appends, 1);
     assert_eq!(stats.grid_moves, 1, "overflow must re-derive the grid");
     // The re-derived grid has slack again (37 occupied, capacity 40):
     // the next 3-node document is a stable append.
     db.add_document("c.xml", &doc("gamma", 1)).unwrap();
-    assert_eq!(db.maintenance_stats().stable_appends, 1);
+    assert_eq!(db.telemetry().maintenance.stable_appends, 1);
     assert_eq!(db.count("//doc//leaf").unwrap(), 33);
 }
 
@@ -139,8 +139,8 @@ fn interior_removal_keeps_the_grid_pinned() {
     // Positions compacted (shards rebuilt — counted as a pinned
     // rebuild), but the boundaries did not move: not a grid move.
     assert_eq!(db.summaries().grid(), &grid_before);
-    assert_eq!(db.maintenance_stats().grid_moves, 0);
-    assert_eq!(db.maintenance_stats().pinned_rebuilds, 1);
+    assert_eq!(db.telemetry().maintenance.grid_moves, 0);
+    assert_eq!(db.telemetry().maintenance.pinned_rebuilds, 1);
     assert_eq!(db.document_names(), vec!["b.xml", "c.xml"]);
     assert_eq!(db.count("//doc//leaf").unwrap(), 9);
     assert_eq!(db.count("//beta//leaf").unwrap(), 4);
@@ -169,9 +169,9 @@ fn refresh_matches_cold_build_bit_for_bit() {
             db.add_document(n.as_str(), x).unwrap();
         }
         db.refresh_grid().unwrap();
-        assert_eq!(db.maintenance_stats().refreshes, 1);
+        assert_eq!(db.telemetry().maintenance.refreshes, 1);
         assert_eq!(
-            db.maintenance_stats().drift,
+            db.telemetry().maintenance.drift,
             0.0,
             "refresh rebaselines drift"
         );
@@ -258,7 +258,7 @@ fn prepared_queries_reprepare_after_refresh() {
     // A repeated path-string lookup finds the stale tier-1 entry and
     // counts the epoch invalidation.
     db.estimate("//doc//leaf").unwrap();
-    assert!(db.prepared_stats().invalidations > 0);
+    assert!(db.telemetry().cache.invalidations > 0);
 }
 
 #[test]
@@ -282,7 +282,7 @@ fn auto_refresh_fires_only_above_threshold() {
             .add_document(format!("n{i}.xml"), &doc("alpha", 7))
             .unwrap();
     }
-    let stats = never.maintenance_stats();
+    let stats = never.telemetry().maintenance;
     assert_eq!(stats.refreshes, 0, "drift {} < 1.0", stats.drift);
     assert!(stats.drift <= 1.0);
 
@@ -304,7 +304,7 @@ fn auto_refresh_fires_only_above_threshold() {
         eager
             .add_document(format!("n{i}.xml"), &doc("beta", 11))
             .unwrap();
-        let s = eager.maintenance_stats();
+        let s = eager.telemetry().maintenance;
         if s.refreshes > 0 {
             assert!(
                 s.last_refresh_drift > 0.02,
@@ -318,7 +318,7 @@ fn auto_refresh_fires_only_above_threshold() {
             s.drift
         );
     }
-    let s = eager.maintenance_stats();
+    let s = eager.telemetry().maintenance;
     assert!(s.auto_refreshes > 0, "skewed appends never fired a refresh");
     assert_eq!(s.auto_refreshes, s.refreshes);
 }
@@ -331,11 +331,11 @@ fn policy_and_drift_survive_the_catalog() {
     )
     .unwrap();
     db.add_document("b.xml", &doc("beta", 4)).unwrap();
-    let want = db.maintenance_stats();
+    let want = db.telemetry().maintenance;
     let expect_skews = db.predicate_skews();
 
     let reopened = Database::open_catalog(&db.save_catalog()).unwrap();
-    let got = reopened.maintenance_stats();
+    let got = reopened.telemetry().maintenance;
     assert_eq!(got.policy, want.policy);
     assert_eq!(got.skew.to_bits(), want.skew.to_bits());
     assert_eq!(got.baseline_skew.to_bits(), want.baseline_skew.to_bits());

@@ -2,7 +2,6 @@
 //! generated data (Section 1's motivation, measured).
 
 use xmlest::core::SummaryConfig;
-use xmlest::engine::{Database, Optimizer};
 use xmlest::prelude::*;
 use xmlest::xml::serialize::{to_xml_string, WriteOptions};
 
@@ -19,17 +18,17 @@ fn dept_db(seed: u64) -> Database {
 #[test]
 fn estimated_best_plan_is_actually_good() {
     let db = dept_db(42);
-    let opt = Optimizer::new(&db);
+    let planner = db.planner();
     for q in [
         "//manager//department[.//employee][.//email]",
         "//department[.//employee][.//name]",
         "//manager//employee[.//name][.//email]",
     ] {
         let twig = parse_path(q).unwrap();
-        let plans = opt.costed_plans(&twig).unwrap();
+        let plans = planner.costed_plans(&twig).unwrap();
         let actual_costs: Vec<u64> = plans
             .iter()
-            .map(|p| opt.execute(&twig, &p.plan).unwrap().total_cost)
+            .map(|p| planner.execute(&twig, &p.plan).unwrap().total_cost)
             .collect();
         let best_actual = actual_costs[0];
         let max_actual = *actual_costs.iter().max().unwrap();
@@ -66,8 +65,8 @@ fn engine_exact_counts_match_matcher() {
 #[test]
 fn explain_reports_est_and_actual() {
     let db = dept_db(42);
-    let opt = Optimizer::new(&db);
-    let explained = opt
+    let explained = db
+        .planner()
         .explain("//manager//department[.//employee][.//email]", true)
         .unwrap();
     let text = explained.render();

@@ -1,12 +1,12 @@
 //! Integration tests for the prepared-query pipeline: canonical
 //! interning (equivalent spellings share one entry and estimate
 //! bit-identically), epoch invalidation (no stale plan or resolution is
-//! ever served after a collection mutation), and the service's
-//! observability counters.
+//! ever served after a collection mutation), and the prepared-cache
+//! section of the telemetry.
 
 use std::sync::Arc;
 use xmlest::core::SummaryConfig;
-use xmlest::engine::{Database, Optimizer};
+use xmlest::engine::Database;
 
 /// A small skewed collection: many `RA` per faculty, almost no `TA`.
 fn skewed_doc(faculties: usize, ras: usize, tas: usize) -> String {
@@ -59,7 +59,7 @@ fn equivalent_spellings_share_one_entry_and_estimate_bit_identically() {
             assert_eq!(warm.to_bits(), cold.to_bits(), "{path}");
         }
     }
-    let stats = db.prepared_stats();
+    let stats = db.telemetry().cache;
     assert_eq!(stats.entries, spellings.len(), "each string cached once");
     assert_eq!(stats.canonical, 1, "one canonical entry for all spellings");
     assert_eq!(stats.misses, spellings.len() as u64);
@@ -113,12 +113,12 @@ fn cached_estimates_after_mutation_match_a_fresh_database_bit_for_bit() {
             let prepared = db.prepare(p).unwrap();
             db.planner().best_plan(&prepared).ok();
         }
-        let warmed = db.prepared_stats();
+        let warmed = db.telemetry().cache;
         assert_eq!(warmed.canonical, paths.len());
 
         // Mutate: add then remove a document; the cache survives both.
         db.add_document(&extra.0, &extra.1).unwrap();
-        let after_add = db.prepared_stats();
+        let after_add = db.telemetry().cache;
         assert_eq!(
             after_add.entries, warmed.entries,
             "cache entries survive the mutation"
@@ -136,7 +136,7 @@ fn cached_estimates_after_mutation_match_a_fresh_database_bit_for_bit() {
             );
         }
         assert_eq!(
-            db.prepared_stats().invalidations,
+            db.telemetry().cache.invalidations,
             after_add.invalidations + paths.len() as u64,
             "each stale entry re-prepared exactly once, never served"
         );
@@ -234,10 +234,9 @@ fn holding_a_prepared_query_across_mutations_is_safe() {
         refreshed.leaves()[0].count > before_count,
         "leaf resolution re-ran against the grown collection"
     );
-    // The service path agrees.
-    let svc = db.service();
-    let via_service = svc.estimate_prepared(&held).unwrap().value;
-    assert_eq!(via_service.to_bits(), via_path.to_bits());
+    // The snapshot agrees on the refreshed entry's canonical twig.
+    let via_snapshot = db.snapshot().estimate_twig(refreshed.twig()).unwrap().value;
+    assert_eq!(via_snapshot.to_bits(), via_path.to_bits());
 }
 
 /// A `PreparedQuery` handle is only meaningful to the database that
@@ -279,7 +278,7 @@ fn attach_dtd_invalidates_prepared_state() {
     let mut db = load(&docs, &config);
     db.estimate("//faculty//RA").unwrap();
     let epoch_before = db.epoch();
-    let inval_before = db.prepared_stats().invalidations;
+    let inval_before = db.telemetry().cache.invalidations;
 
     db.attach_dtd(dtd);
     assert_eq!(
@@ -289,49 +288,40 @@ fn attach_dtd_invalidates_prepared_state() {
     );
     // The cached entry re-prepares on next access.
     db.estimate("//faculty//RA").unwrap();
-    assert!(db.prepared_stats().invalidations > inval_before);
+    assert!(db.telemetry().cache.invalidations > inval_before);
 }
 
 #[test]
-fn service_stats_expose_cache_counters_and_epoch() {
+fn telemetry_exposes_cache_counters_and_epoch() {
     let config = SummaryConfig::paper_defaults().with_grid_size(8);
     let docs = vec![("a.xml".to_owned(), skewed_doc(10, 3, 2))];
     let db = load(&docs, &config);
-    let svc = db.service();
     let paths = ["//faculty//RA", "//faculty//TA", "//department//name"];
-    let batch: Vec<xmlest::engine::TwigRef> = paths
-        .iter()
-        .cycle()
-        .take(30)
-        .map(|&p| xmlest::engine::TwigRef::Path(p))
-        .collect();
-    for r in svc.estimate_batch(&batch) {
-        r.unwrap();
+    for p in paths.iter().cycle().take(30) {
+        db.estimate(p).unwrap();
     }
-    let stats = svc.stats();
-    assert_eq!(stats.epoch, 1);
-    assert_eq!(stats.cache.entries, paths.len());
-    assert_eq!(stats.cache.misses, paths.len() as u64);
-    // The batch dedups identical path strings *before* probing the
-    // prepared cache: 30 slots over 3 paths cost 3 probes, all misses.
-    assert_eq!(stats.cache.hits, 0);
-    assert_eq!(stats.cache.evictions, 0);
-    assert_eq!(stats.cache.canonical, paths.len());
-    assert!(stats.pooled_workspaces >= 1);
+    let t = db.telemetry();
+    assert_eq!(t.epoch, 1);
+    assert_eq!(t.cache.entries, paths.len());
+    assert_eq!(t.cache.misses, paths.len() as u64);
+    assert_eq!(t.cache.hits, 30 - paths.len() as u64);
+    assert_eq!(t.cache.evictions, 0);
+    assert_eq!(t.cache.canonical, paths.len());
+    assert_eq!(t.counter("xmlest_estimates_total"), Some(30));
 }
 
 #[test]
 fn explain_and_execution_run_on_the_prepared_pipeline() {
     let config = SummaryConfig::paper_defaults().with_grid_size(8);
     let db = Database::load_str(&skewed_doc(20, 4, 3), &config).unwrap();
-    let opt = Optimizer::new(&db);
+    let planner = db.planner();
     let path = "//department//faculty[.//TA][.//RA]";
-    let explained = opt.explain(path, true).unwrap();
+    let explained = planner.explain(path, true).unwrap();
     let exec = explained.execution.as_ref().unwrap();
 
     // Executing through the prepared handle gives the same trace.
     let prepared = db.prepare(path).unwrap();
-    let direct = opt.execute_prepared(&prepared).unwrap();
+    let direct = planner.execute_prepared(&prepared).unwrap();
     assert_eq!(direct.step_pairs, exec.step_pairs);
     assert_eq!(direct.final_candidates, exec.final_candidates);
     // And the plan memo was shared, not recomputed per call.

@@ -7,11 +7,11 @@
 //! documents: the journal never loses the most recent `capacity`
 //! completed events, histogram quantiles bracket the true sample
 //! quantile within one log bucket, shard folds equal serial sums,
-//! tracing returns bit-identical estimates, and the legacy stats
-//! structs are exact views of the unified snapshot.
+//! tracing returns bit-identical estimates, and the telemetry sections
+//! report the live cache, maintenance and counter state.
 //!
 //! [`Telemetry`]: xmlest_engine::Telemetry
-//! [`estimate_traced`]: xmlest_engine::service::EstimationService::estimate_traced
+//! [`estimate_traced`]: xmlest_engine::Database::estimate_traced
 
 use std::thread;
 use xmlest_core::SummaryConfig;
@@ -202,24 +202,23 @@ fn counter_shard_fold_equals_serial_sum() {
 #[test]
 fn estimate_traced_reports_faithful_provenance() {
     let db = department_db();
-    let svc = db.service();
     let path = "//department//faculty//TA";
 
-    let cold = svc.estimate_traced(path).unwrap();
+    let cold = db.estimate_traced(path).unwrap();
     assert_eq!(cold.cache_tier, CacheTier::Miss, "first sight is a miss");
     assert_eq!(cold.epoch, db.epoch());
     assert!(cold.estimate.value.is_finite() && cold.estimate.value > 0.0);
 
     // The traced run warmed tier 1, so the untraced estimate must now
     // be a cache hit returning the bit-identical value.
-    let untraced = svc.estimate(path).unwrap();
+    let untraced = db.estimate(path).unwrap();
     assert_eq!(
         untraced.value.to_bits(),
         cold.estimate.value.to_bits(),
         "tracing must never change the math"
     );
 
-    let warm = svc.estimate_traced(path).unwrap();
+    let warm = db.estimate_traced(path).unwrap();
     assert_eq!(warm.cache_tier, CacheTier::PathHit);
     assert_eq!(warm.twig_id, cold.twig_id, "same interned identity");
     assert_eq!(warm.estimate.value.to_bits(), cold.estimate.value.to_bits());
@@ -253,12 +252,12 @@ fn estimate_traced_reports_faithful_provenance() {
 
     // Single-node patterns have no joins: no plan, no edges, and the
     // same bit-identical-estimate guarantee.
-    let single = svc.estimate_traced("//department").unwrap();
+    let single = db.estimate_traced("//department").unwrap();
     assert!(single.plan.is_none());
     assert!(single.edges.is_empty());
     assert_eq!(
         single.estimate.value.to_bits(),
-        svc.estimate("//department").unwrap().value.to_bits()
+        db.estimate("//department").unwrap().value.to_bits()
     );
 }
 
@@ -266,52 +265,34 @@ fn estimate_traced_reports_faithful_provenance() {
 // Unified telemetry surface
 // ---------------------------------------------------------------------------
 
-/// The legacy stats structs are exact projections of one `Telemetry`
-/// snapshot — same numbers, no second bookkeeping.
+/// One `Telemetry` snapshot reports the live state of every layer: the
+/// prepared cache, the grid maintenance section, and one counted
+/// estimate per `Database::estimate` call.
 #[test]
-fn telemetry_views_match_legacy_stats() {
+fn telemetry_reports_cache_maintenance_and_counters() {
     let db = department_db();
-    let svc = db.service();
     for path in ["//department//faculty", "//faculty//TA", "//faculty//RA"] {
-        svc.estimate(path).unwrap();
-        svc.estimate(path).unwrap(); // second pass: guaranteed cache hits
+        db.estimate(path).unwrap();
+        db.estimate(path).unwrap(); // second pass: guaranteed cache hits
     }
 
-    let t = svc.telemetry();
-    let legacy = svc.stats();
-    let view = t.service_stats();
-    assert_eq!(view.cache, legacy.cache);
-    assert_eq!(view.epoch, legacy.epoch);
-    assert_eq!(view.pooled_workspaces, legacy.pooled_workspaces);
-    assert_eq!(t.cache_stats(), db.prepared_stats());
-    assert!(t.cache.hits >= 3, "the second pass hit the cache");
-    assert!(t.cache.misses >= 3, "the first pass missed");
+    let t = db.telemetry();
+    assert_eq!(t.cache.hits, 3, "the second pass hit the cache");
+    assert_eq!(t.cache.misses, 3, "the first pass missed");
+    assert_eq!(t.cache.entries, 3);
 
-    let m = t.maintenance_stats();
-    let live = db.maintenance_stats();
-    assert_eq!(m.grid_capacity, live.grid_capacity);
-    assert_eq!(m.occupied, live.occupied);
-    assert_eq!(m.refreshes, live.refreshes);
-    assert_eq!(m.refresh_degraded, live.refresh_degraded);
-
-    // No admission front was built, so the front view reads zero.
-    let front = t.front_stats();
-    assert_eq!(front.admitted, 0);
-    assert_eq!(front.batches, 0);
-    assert_eq!(front.coalesced, 0);
+    let m = t.maintenance;
+    assert_eq!(m.grid_capacity, db.summaries().grid().max_pos() as u64 + 1);
+    assert_eq!(m.occupied, db.summaries().tree_nodes());
+    assert_eq!(m.refreshes, 0);
+    assert!(!m.refresh_degraded);
 
     assert_eq!(t.epoch, db.epoch());
     assert!(!t.degraded && !t.store_degraded && !t.refresh_degraded);
     assert!(t.recording_enabled, "recording is on by default");
-    assert!(t.counter("xmlest_estimates_total").unwrap() >= 6);
+    assert_eq!(t.counter("xmlest_estimates_total"), Some(6));
     assert_eq!(t.counter("xmlest_estimate_errors_total"), Some(0));
     assert_eq!(t.counter("no_such_metric"), None);
-    // Database- and service-level snapshots agree on the monotonic
-    // parts (the service adds only the pool gauge).
-    let dbt = db.telemetry();
-    assert_eq!(dbt.epoch, t.epoch);
-    assert_eq!(dbt.cache.hits, t.cache.hits);
-    assert!(dbt.counter("xmlest_estimates_total").unwrap() >= 6);
 }
 
 /// A minimal structural JSON validator: tracks string/escape state and
@@ -361,13 +342,12 @@ fn check_json(text: &str) -> usize {
 #[test]
 fn exporters_render_the_full_surface() {
     let db = department_db();
-    let svc = db.service();
     for _ in 0..2 {
         // Traced runs time every stage exactly, so parse/kernel rows
         // have samples regardless of warm-path stage sampling.
-        svc.estimate_traced("//department//faculty//TA").unwrap();
+        db.estimate_traced("//department//faculty//TA").unwrap();
     }
-    let t = svc.telemetry();
+    let t = db.telemetry();
 
     let prom = t.to_prometheus();
     for c in &t.counters {
@@ -382,7 +362,6 @@ fn exporters_render_the_full_surface() {
         "xmlest_refresh_degraded",
         "xmlest_quarantined_shards",
         "xmlest_cache_entries",
-        "xmlest_pooled_workspaces",
         "xmlest_events_total",
     ] {
         assert!(prom.contains(&format!("# TYPE {gauge} gauge")), "{gauge}");
@@ -414,7 +393,6 @@ fn exporters_render_the_full_surface() {
     for key in [
         "\"epoch\":",
         "\"cache\":{",
-        "\"front\":{",
         "\"maintenance\":{",
         "\"counters\":{",
         "\"stages\":[",
