@@ -1,5 +1,5 @@
-//! Delta-maintenance benchmarks: the incremental merge and the
-//! predicate-scoped refresh against their full-rebuild counterparts.
+//! Delta-maintenance benchmarks: the incremental merge against the full
+//! fold it replaces, and the append round trip it serves.
 //!
 //! * `delta_merge` — core-level: extending an n-shard merged view by
 //!   one new shard via [`merge_delta`] (O(new-document cells)) versus
@@ -11,12 +11,6 @@
 //!   through the delta merge. Directly comparable to
 //!   `grid_append/stable` in `BENCH_regrid.json` (the pre-delta
 //!   baseline was a flat ~0.6 ms; the delta path is microseconds).
-//! * `scoped_refresh` — engine-level: `refresh_grid` (which takes the
-//!   predicate-scoped splice path whenever the equi-depth boundaries
-//!   allow) versus `refresh_grid_full` (every predicate table rebuilt)
-//!   on the same collection. Both end bit-identical; the probe after
-//!   each size asserts it and the logs show how many tables were
-//!   spliced versus rebuilt.
 //!
 //! Run with `XMLEST_BENCH_JSON=BENCH_delta.json cargo bench --bench
 //! delta_maintenance` to capture the numbers (CI does).
@@ -132,48 +126,5 @@ fn bench_delta_append(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scoped_refresh(c: &mut Criterion) {
-    const RECORDS: usize = 60;
-    let mut group = c.benchmark_group("scoped_refresh");
-    for n in [4usize, 8, 16] {
-        let docs = collection(n, RECORDS);
-        // Same build + one stable append on both sides, so the refresh
-        // starts from carried merge state with real drift on the books.
-        let extra = doc_xml(1234, RECORDS / 2);
-        let mut scoped = load(&docs, slack());
-        scoped.add_document("extra.xml", &extra).expect("append");
-        let mut full = load(&docs, slack());
-        full.add_document("extra.xml", &extra).expect("append");
-
-        group.bench_with_input(BenchmarkId::new("scoped", n), &n, |b, _| {
-            b.iter(|| scoped.refresh_grid().unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("full", n), &n, |b, _| {
-            b.iter(|| full.refresh_grid_full().unwrap())
-        });
-
-        let s = scoped.telemetry().maintenance;
-        assert!(
-            s.scoped_refreshes > 0,
-            "refresh_grid must take the scoped path on a stable collection"
-        );
-        scoped
-            .summaries()
-            .bit_identical(full.summaries())
-            .expect("scoped refresh ≡ full refresh");
-        eprintln!(
-            "scoped_refresh/{n}: scoped_refreshes {}/{} spliced {} rebuilt {} | \
-             bit-identical to full refresh",
-            s.scoped_refreshes, s.refreshes, s.spliced_entries, s.rebuilt_entries,
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_delta_merge,
-    bench_delta_append,
-    bench_scoped_refresh
-);
+criterion_group!(benches, bench_delta_merge, bench_delta_append);
 criterion_main!(benches);

@@ -154,7 +154,7 @@ impl CoverageHistogram {
     ///   pairwise disjoint (the caller guarantees no-overlap).
     ///
     /// One-shot convenience over [`CoverageHistogram::build_in`]; bulk
-    /// builders (the shard and refresh paths) hoist the
+    /// builders (the shard path) hoist the
     /// [`CoverageContext`] and amortize the node pass across predicates.
     pub fn build(grid: Grid, all_nodes: &[Interval], p_intervals: &[Interval]) -> Self {
         let ctx = CoverageContext::new(&grid, all_nodes);
@@ -235,17 +235,6 @@ impl CoverageHistogram {
     /// The grid shared with the position histograms.
     pub fn grid(&self) -> &Grid {
         &self.grid
-    }
-
-    /// The same coverage contents re-stamped onto `grid` (same bucket
-    /// count). Only valid under the scoped-refresh splice contract: all
-    /// referenced cells' populations are identical under both grids (see
-    /// [`crate::refresh`]).
-    pub(crate) fn with_grid(&self, grid: Grid) -> CoverageHistogram {
-        debug_assert_eq!(grid.g(), self.grid.g(), "rebind must preserve g");
-        let mut out = self.clone();
-        out.grid = grid;
-        out
     }
 
     /// Coverage fraction of cell `covered` by predicate nodes in cell

@@ -352,8 +352,8 @@ impl Summaries {
     /// bitwise-equal floats. Returns the first difference found.
     ///
     /// This is the equivalence oracle for the incremental maintenance
-    /// paths: `tests` pin [`crate::shard::merge_delta`] and the engine's
-    /// scoped refresh to their full-rebuild counterparts with it.
+    /// paths: `tests` pin [`crate::shard::merge_delta`] to the full
+    /// [`crate::shard::merge_shards_stateful`] fold with it.
     pub fn bit_identical(&self, other: &Summaries) -> std::result::Result<(), String> {
         if self.grid != other.grid {
             return Err("grids differ".into());

@@ -48,10 +48,8 @@ pub mod parent_child;
 pub mod ph_join;
 /// Sparse CSR position histograms over grid cells.
 pub mod position_histogram;
-/// Predicate-scoped equi-depth refresh: stability cutoff and
-/// splice-vs-rebuild decisions.
-pub mod refresh;
-/// Grid maintenance policies: slack capacity and equi-depth refresh.
+/// Grid maintenance policies: slack capacity and drift tracking for the
+/// equi-depth refresh.
 pub mod regrid;
 /// Per-document summary shards and shard merging.
 pub mod shard;

@@ -557,23 +557,6 @@ impl JoinCoefficients {
         JoinCoefficients { grid, basis, coeff }
     }
 
-    /// The same table re-stamped onto `grid` — the scoped-refresh splice
-    /// for memoized coefficients. Coefficient values depend only on the
-    /// inner histogram's cell contents, never on bucket geometry, so a
-    /// table whose inner histogram is bit-identical under the new grid
-    /// is itself bit-identical; the rebind exists because the struct
-    /// embeds the grid and [`Self::apply`] checks operand grids against
-    /// it. Caller contract: only rebind when the inner histogram was
-    /// spliced (same cells, same values) onto `grid`.
-    pub fn rebound_to(&self, grid: crate::grid::Grid) -> JoinCoefficients {
-        debug_assert_eq!(grid.g(), self.grid.g(), "rebind must preserve g");
-        JoinCoefficients {
-            grid,
-            basis: self.basis,
-            coeff: self.coeff.clone(),
-        }
-    }
-
     /// Extra storage the precomputation costs — with CSR entries this is
     /// now exactly the histogram accounting of Fig. 11 ("approximately
     /// equal to that of the original position histogram").

@@ -305,20 +305,6 @@ impl PositionHistogram {
         &self.grid
     }
 
-    /// The same cell contents re-stamped onto `grid` (which must have
-    /// the same bucket count). Only valid when the caller has proved
-    /// every populated cell's population is identical under both grids —
-    /// the scoped-refresh splice contract: all contributing positions
-    /// lie strictly below the grids' first differing boundary.
-    pub(crate) fn with_grid(&self, grid: Grid) -> PositionHistogram {
-        debug_assert_eq!(grid.g(), self.grid.g(), "rebind must preserve g");
-        PositionHistogram {
-            grid,
-            flat: self.flat.clone(),
-            total: self.total,
-        }
-    }
-
     /// The flat backing store (read-only; kernels index rows directly).
     #[inline]
     pub fn flat(&self) -> &FlatHistogram {

@@ -35,8 +35,9 @@
 //!    **drift** — how much worse the fit has become since — is
 //!    `max(0, skew − baseline)`. When drift crosses the policy
 //!    threshold, the maintenance layer re-derives equi-depth boundaries
-//!    from the same classified lists and rebuilds the shards in
-//!    parallel (an *equi-depth refresh*).
+//!    from the same classified lists and re-buckets every shard in
+//!    parallel through the same build-and-merge step a cold load runs
+//!    (an *equi-depth refresh*).
 //!
 //! Updates are O(new document): appending ingests only the new
 //! document's match positions, removal retracts them. The tracker is
@@ -314,9 +315,8 @@ impl DriftTracker {
 
     /// Names of the predicates whose [`DriftTracker::predicate_drift`]
     /// strictly exceeds `threshold`, in name order — the per-predicate
-    /// refinement of the aggregate [`DriftTracker::drift`] signal, used
-    /// to scope an equi-depth refresh to the predicates that actually
-    /// outgrew the grid.
+    /// refinement of the aggregate [`DriftTracker::drift`] signal: which
+    /// predicates actually outgrew the grid.
     pub fn drifted_predicates(&self, threshold: f64) -> Vec<String> {
         let g = self.g as usize;
         self.rows

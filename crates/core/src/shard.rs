@@ -727,7 +727,7 @@ fn delta_entry(
 /// its inputs, safe to run on any thread. Returns the merged summary
 /// plus the fold accumulators [`merge_delta`] resumes from.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_entry(
+fn merge_entry(
     name: &str,
     pred: &BasePredicate,
     shards: &[&Summaries],

@@ -42,7 +42,6 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use xmlest_core::catalog::{CatalogFile, CatalogShard, OpenReport, QuarantinedShard};
-use xmlest_core::refresh::refresh_scoped;
 use xmlest_core::shard::{
     build_shard_summaries, builtin_entry_count, classify_document, entry_names,
     make_collection_grid, matches_mega_root, merge_delta, merge_shards_stateful,
@@ -67,8 +66,8 @@ pub(crate) mod test_faults {
     use std::cell::Cell;
 
     thread_local! {
-        /// Number of upcoming [`super::Database::from_collection`] calls
-        /// on this thread to fail artificially (multi-shot: each failure
+        /// Number of upcoming [`super::derive_collection`] calls on this
+        /// thread to fail artificially (multi-shot: each failure
         /// decrements, so a test can arm a whole losing streak to
         /// exercise the backoff and degraded-flag escalation).
         /// Thread-local because mutations run on the calling thread:
@@ -81,11 +80,6 @@ pub(crate) mod test_faults {
     /// classic one-shot, 0 to disarm).
     pub(crate) fn arm(n: u32) {
         FAIL_REBUILDS.with(|c| c.set(n));
-    }
-
-    /// Whether a failure is armed on this thread.
-    pub(crate) fn armed() -> bool {
-        FAIL_REBUILDS.with(|c| c.get() > 0)
     }
 
     /// Consumes one armed failure, if any.
@@ -336,9 +330,9 @@ pub struct Database {
     /// immutable epoch-stamped [`Snapshot`] here by pointer swap.
     /// Concurrent readers ([`Database::serving`] holders — the
     /// maintenance worker's clients) estimate against the
-    /// cell without ever taking a lock; the cell's identity survives
-    /// rebuilds ([`Database::replace_rebuilt`] carries it across), so a
-    /// handle captured once stays live for the database's lifetime.
+    /// cell without ever taking a lock; rebuilds commit in place
+    /// ([`Database::rebuild`]), so the cell's identity survives them and
+    /// a handle captured once stays live for the database's lifetime.
     serving: Arc<SnapshotCell>,
     /// The observability core ([`xmlest_xobs`]): typed metric registry,
     /// per-stage latency histograms, and the structured event journal.
@@ -388,6 +382,96 @@ fn initial_serving(
         obs.clone(),
         metrics.clone(),
     ))
+}
+
+/// What a collection rebuild derives from the classified inputs: each
+/// document's offset and shard summaries (input order), their merged
+/// view and fold state, and the drift tracker anchored to their grid.
+struct Derived {
+    placed: Vec<(u32, Summaries)>,
+    merged: Summaries,
+    state: MergeState,
+    tracker: DriftTracker,
+}
+
+/// The derive step every collection rebuild shares — the cold load, the
+/// refresh, an interior removal and an overflowing append: the grid
+/// (`pinned`, or re-derived under the config's policy), every shard
+/// summary built on it in parallel, their stateful merge, and the drift
+/// tracker. It only reads the classified inputs, so a failure leaves
+/// the caller's state untouched. The grid derivation is deterministic,
+/// so a refresh and a cold load of the same collection agree exactly.
+fn derive_collection(
+    inputs: &[(&DocumentSummaryInput, u32)],
+    catalog: &Catalog,
+    config: &SummaryConfig,
+    pinned: Option<Grid>,
+) -> Result<Derived> {
+    #[cfg(test)]
+    if test_faults::take_rebuild_failure() {
+        return Err(Error::Plan("injected rebuild failure (test)".into()));
+    }
+    let grid = match pinned {
+        Some(g) => g,
+        None => make_collection_grid(inputs, catalog, config)?,
+    };
+    let tracker = DriftTracker::from_inputs(&grid, catalog, inputs);
+    // Per-document shard builds fan out across cores.
+    let placed: Vec<(u32, Summaries)> = inputs
+        .par_iter()
+        .map(|&(input, off)| {
+            let shard = build_shard_summaries(input, off, &grid, catalog, config);
+            (off, shard)
+        })
+        .collect();
+    let refs: Vec<&Summaries> = placed.iter().map(|(_, s)| s).collect();
+    let (merged, state) = merge_shards_stateful(&refs, &grid, catalog, config)?;
+    Ok(Derived {
+        placed,
+        merged,
+        state,
+        tracker,
+    })
+}
+
+/// Lays documents out contiguously after the mega-root (position 0):
+/// each input paired with its global position offset.
+fn layout<'a>(
+    inputs: impl IntoIterator<Item = &'a DocumentSummaryInput>,
+) -> Vec<(&'a DocumentSummaryInput, u32)> {
+    let mut offset = 1u32;
+    inputs
+        .into_iter()
+        .map(|input| {
+            let at = offset;
+            offset += input.node_count;
+            (input, at)
+        })
+        .collect()
+}
+
+/// The mega-tree: the stored document trees replayed under one
+/// synthetic root (document-order cost, no XML parsing). Exact counting
+/// and plan execution read it; estimation never does.
+fn mega_tree(docs: &[(&str, &ShardSource)]) -> Result<XmlTree> {
+    let mut fb = ForestBuilder::new();
+    for &(name, src) in docs {
+        fb.add_tree(name, &src.tree)?;
+    }
+    Ok(fb.finish()?.into_tree())
+}
+
+/// How a collection rebuild ([`Database::rebuild`]) changes the
+/// document list.
+enum Rebuild {
+    /// The same documents on a re-derived grid (the equi-depth refresh).
+    Refresh,
+    /// Drops the document at this index (any removal but the slack
+    /// policy's newest-document fast path).
+    Remove(usize),
+    /// Appends a document (an append the slack cannot hold, or any
+    /// append under the static policy).
+    Append(String, Box<ShardSource>),
 }
 
 impl Database {
@@ -473,98 +557,31 @@ impl Database {
             .zip(trees.into_iter().zip(inputs))
             .map(|(&(name, _), (tree, input))| (name.to_owned(), ShardSource { tree, input }))
             .collect();
-        Database::from_collection(catalog, config.clone(), sources, None).map_err(|(e, _)| e)
+        Database::from_collection(catalog, config.clone(), sources)
     }
 
-    /// Derives every collection-level structure from per-document state:
-    /// offsets, the shared grid, shard summaries (parallel across
-    /// documents), the merged view, the mega-tree (replayed from the
-    /// already-parsed document trees — no XML re-parse), the element
-    /// index (concatenated from the classified lists), and the drift
-    /// tracker. Classification of existing documents is never repeated.
-    ///
-    /// `pinned_grid` keeps an existing grid instead of re-deriving one
-    /// (the slack policy's removal path: positions compact but the
-    /// boundaries stay put); `None` derives the grid under the config's
-    /// policy, which is what a refresh and a cold build both do — the
-    /// derivation is deterministic, so the two agree exactly.
-    ///
-    /// On failure the untouched `sources` come back with the error, so
-    /// mutating callers ([`Database::add_document`] /
-    /// [`Database::remove_document`]) can restore their previous state —
-    /// a failed rebuild never corrupts a serving database.
+    /// Builds a collection database from per-document state: offsets,
+    /// the [`derive_collection`] step (grid, shard summaries in
+    /// parallel, merged view, drift tracker), the mega-tree (replayed
+    /// from the already-parsed document trees — no XML re-parse) and the
+    /// element index (concatenated from the classified lists).
+    /// Classification is never repeated.
     fn from_collection(
         catalog: Catalog,
         config: SummaryConfig,
         sources: Vec<(String, ShardSource)>,
-        pinned_grid: Option<Grid>,
-    ) -> std::result::Result<Database, (Error, Vec<(String, ShardSource)>)> {
-        // Everything fallible runs in here, borrowing `sources`; the
-        // sources are consumed only after the last `?`.
-        type Parts = (
-            Vec<u32>,
-            Vec<Summaries>,
-            Summaries,
-            MergeState,
-            XmlTree,
-            DriftTracker,
-        );
-        let fallible = || -> Result<Parts> {
-            #[cfg(test)]
-            if test_faults::take_rebuild_failure() {
-                return Err(Error::Plan("injected rebuild failure (test)".into()));
-            }
-
-            // Offsets: the mega-root occupies position 0; each
-            // document's nodes follow contiguously.
-            let mut offsets = Vec::with_capacity(sources.len());
-            let mut offset = 1u32;
-            for (_, src) in &sources {
-                offsets.push(offset);
-                offset += src.input.node_count;
-            }
-
-            let inputs: Vec<(&DocumentSummaryInput, u32)> = sources
-                .iter()
-                .zip(&offsets)
-                .map(|((_, src), &off)| (&src.input, off))
-                .collect();
-            let grid = match pinned_grid {
-                Some(g) => g,
-                None => make_collection_grid(&inputs, &catalog, &config)?,
-            };
-            let tracker = DriftTracker::from_inputs(&grid, &catalog, &inputs);
-
-            // Per-document shard builds fan out across cores.
-            let built: Vec<Summaries> = inputs
-                .par_iter()
-                .map(|&(input, off)| build_shard_summaries(input, off, &grid, &catalog, &config))
-                .collect();
-
-            let shard_refs: Vec<&Summaries> = built.iter().collect();
-            let (summaries, merge_state) =
-                merge_shards_stateful(&shard_refs, &grid, &catalog, &config)?;
-
-            // Mega-tree: replay the stored document trees
-            // (document-order cost, no XML parsing). Exact counting and
-            // plan execution read this; estimation never does.
-            let mut fb = ForestBuilder::new();
-            for (name, src) in &sources {
-                fb.add_tree(name, &src.tree)?;
-            }
-            let tree = fb.finish()?.into_tree();
-            Ok((offsets, built, summaries, merge_state, tree, tracker))
+    ) -> Result<Database> {
+        let (derived, tree) = {
+            let docs: Vec<(&str, &ShardSource)> =
+                sources.iter().map(|(n, src)| (n.as_str(), src)).collect();
+            let inputs = layout(docs.iter().map(|(_, src)| &src.input));
+            let derived = derive_collection(&inputs, &catalog, &config, None)?;
+            (derived, mega_tree(&docs)?)
         };
-        let (offsets, built, summaries, merge_state, tree, tracker) = match fallible() {
-            Ok(parts) => parts,
-            Err(e) => return Err((e, sources)),
-        };
-
         let shards: Vec<DocShard> = sources
             .into_iter()
-            .zip(offsets)
-            .zip(built)
-            .map(|(((name, src), offset), summaries)| DocShard {
+            .zip(derived.placed)
+            .map(|((name, src), (offset, summaries))| DocShard {
                 name,
                 offset,
                 summaries,
@@ -572,7 +589,7 @@ impl Database {
             })
             .collect();
         let index = ElementIndex::build_sharded(&tree, &catalog, &shards);
-        let summaries = Arc::new(summaries);
+        let summaries = Arc::new(derived.merged);
         let coeff_cache = Arc::new(CoeffCache::new());
         let obs = Recorder::new();
         let metrics = Metrics::register(&obs);
@@ -588,9 +605,9 @@ impl Database {
             coeff_cache,
             epoch: 1,
             prepared: PreparedCache::with_recorder(crate::prepared::PREPARED_CACHE_CAP, &obs),
-            maintenance: MaintenanceState::with_tracker(tracker),
+            maintenance: MaintenanceState::with_tracker(derived.tracker),
             quarantine: Vec::new(),
-            merge_state: Some(merge_state),
+            merge_state: Some(derived.state),
             undo: VecDeque::new(),
             serving,
             obs,
@@ -598,50 +615,92 @@ impl Database {
         })
     }
 
-    /// Dismantles the shards into rebuild inputs, keeping each shard's
-    /// derived state (offset + summaries) aside so a failed rebuild can
-    /// restore the previous serving state via
-    /// [`Database::restore_shards`]. Fails with [`Error::ServingOnly`]
-    /// — **before** touching anything — when any shard lacks its
-    /// source (catalog-opened or repaired-in-place shards): a rebuild
-    /// has nothing to rebuild those documents from.
-    #[allow(clippy::type_complexity)]
-    fn dismantle_shards(&mut self) -> Result<(Vec<(String, ShardSource)>, Vec<(u32, Summaries)>)> {
-        if let Some(unsourced) = self.shards.iter().find(|s| s.source.is_none()) {
-            return Err(Error::ServingOnly(format!(
-                "document {:?} has summaries but no source tree; \
-                 rebuilds need every document's source (re-ingest the collection to mutate)",
-                unsourced.name
-            )));
-        }
-        let mut sources = Vec::with_capacity(self.shards.len());
-        let mut derived = Vec::with_capacity(self.shards.len());
-        for s in std::mem::take(&mut self.shards) {
-            derived.push((s.offset, s.summaries));
-            let source = s.source.expect("sources checked above"); // xlint: allow(no-panic, "loop above returned ServingOnly for any unsourced shard")
-            sources.push((s.name, source));
-        }
-        Ok((sources, derived))
+    /// Borrows every shard's stored source, in collection order. Fails
+    /// with [`Error::ServingOnly`] when any shard lacks one
+    /// (catalog-opened or repaired shards): a rebuild has nothing to
+    /// rebuild those documents from.
+    fn sources(&self) -> Result<Vec<(&str, &ShardSource)>> {
+        self.shards
+            .iter()
+            .map(|s| match &s.source {
+                Some(src) => Ok((s.name.as_str(), src)),
+                None => Err(Error::ServingOnly(format!(
+                    "document {:?} has summaries but no source tree; \
+                     rebuilds need every document's source (re-ingest the collection to mutate)",
+                    s.name
+                ))),
+            })
+            .collect()
     }
 
-    /// Reassembles `self.shards` from the parts
-    /// [`Database::dismantle_shards`] split off — the rollback half of a
-    /// failed collection mutation.
-    fn restore_shards(
-        &mut self,
-        sources: Vec<(String, ShardSource)>,
-        derived: Vec<(u32, Summaries)>,
-    ) {
-        self.shards = sources
+    /// The one collection rebuild, committed in place. Applies `change`
+    /// to the borrowed document list, lays the documents out
+    /// contiguously, runs the [`derive_collection`] step (on `pinned`,
+    /// or a re-derived grid) and — when documents moved — replays the
+    /// mega-tree. Only then does it commit: shards take their new
+    /// offsets and summaries; the merged view, fold state and drift
+    /// tracker are replaced; the element index re-derives from the new
+    /// mega-tree; coefficient tables restart empty and the undo stack
+    /// clears, since both belong to the old grid. The epoch bumps and
+    /// the successor snapshot publishes. The prepared cache, counters,
+    /// serving cell and recorder carry over untouched.
+    ///
+    /// A refresh moves no document, so it keeps the mega-tree and the
+    /// element index. A failure returns before the commit and changes
+    /// nothing.
+    fn rebuild(&mut self, change: Rebuild, pinned: Option<Grid>) -> Result<()> {
+        let (derived, tree) = {
+            let mut docs = self.sources()?;
+            match &change {
+                Rebuild::Refresh => {}
+                Rebuild::Remove(pos) => {
+                    docs.remove(*pos);
+                }
+                Rebuild::Append(name, src) => docs.push((name.as_str(), &**src)),
+            }
+            let inputs = layout(docs.iter().map(|(_, src)| &src.input));
+            let derived = derive_collection(&inputs, &self.catalog, &self.config, pinned)?;
+            let tree = match change {
+                Rebuild::Refresh => None,
+                _ => Some(mega_tree(&docs)?),
+            };
+            (derived, tree)
+        };
+
+        // Commit — nothing below can fail.
+        let mut owned: Vec<(String, Option<ShardSource>)> = std::mem::take(&mut self.shards)
             .into_iter()
-            .zip(derived)
+            .map(|s| (s.name, s.source))
+            .collect();
+        match change {
+            Rebuild::Refresh => {}
+            Rebuild::Remove(pos) => {
+                owned.remove(pos);
+            }
+            Rebuild::Append(name, src) => owned.push((name, Some(*src))),
+        }
+        self.shards = owned
+            .into_iter()
+            .zip(derived.placed)
             .map(|((name, source), (offset, summaries))| DocShard {
                 name,
                 offset,
                 summaries,
-                source: Some(source),
+                source,
             })
             .collect();
+        if let Some(tree) = tree {
+            self.index = ElementIndex::build_sharded(&tree, &self.catalog, &self.shards);
+            self.tree = Some(tree);
+        }
+        self.summaries = Arc::new(derived.merged);
+        self.merge_state = Some(derived.state);
+        self.maintenance.tracker = derived.tracker;
+        self.undo.clear();
+        self.coeff_cache = Arc::new(CoeffCache::new());
+        self.epoch += 1;
+        self.publish_snapshot();
+        Ok(())
     }
 
     /// Adds a document to the collection. Parses and classifies only the
@@ -718,31 +777,17 @@ impl Database {
             self.maintenance.counters.overflow_appends += 1;
         }
 
-        // Moving path: full rebuild with a re-derived grid.
-        let (mut sources, derived) = self.dismantle_shards()?;
-        sources.push((
-            name.into(),
-            ShardSource {
-                tree: doc_tree,
-                input,
-            },
-        ));
-        match Database::from_collection(self.catalog.clone(), self.config.clone(), sources, None) {
-            Ok(rebuilt) => {
-                self.replace_rebuilt(rebuilt);
-                self.maintenance.counters.grid_moves += 1;
-                Ok(())
-            }
-            Err((e, mut sources)) => {
-                // Atomic failure: drop the document we tried to add and
-                // restore the previous serving state (the catalog may
-                // retain the new document's tags — they summarize as
-                // unknown until a successful add defines them).
-                sources.pop();
-                self.restore_shards(sources, derived);
-                Err(e)
-            }
-        }
+        // Moving path: rebuild on a re-derived grid. A failure changes
+        // nothing but the catalog, which may retain the new document's
+        // tags — they summarize as unknown until a successful add
+        // defines them.
+        let doc = Box::new(ShardSource {
+            tree: doc_tree,
+            input,
+        });
+        self.rebuild(Rebuild::Append(name.into(), doc), None)?;
+        self.maintenance.counters.grid_moves += 1;
+        Ok(())
     }
 
     /// The stable-append commit: build the new document's shard on the
@@ -840,46 +885,17 @@ impl Database {
             .all(|e| matches!(e.predicate, BasePredicate::Tag(_)))
     }
 
-    /// Installs a rebuilt database while advancing the epoch and keeping
-    /// the prepared-query cache and the maintenance counters: entries
-    /// (and their memoized plans) were derived under the old epoch, so
-    /// the first access per entry re-prepares it against the new
-    /// summaries — stale state is unreachable, warm state re-warms
-    /// without re-parsing.
-    fn replace_rebuilt(&mut self, rebuilt: Database) {
-        let epoch = self.epoch + 1;
-        let prepared = std::mem::take(&mut self.prepared);
-        let counters = self.maintenance.counters;
-        // The serving cell's identity must survive the rebuild: external
-        // holders (the maintenance worker, reader threads) keep their
-        // `Arc<SnapshotCell>` across it and see the new state at the
-        // next publish. The recorder and metric handles survive for the
-        // same reason — telemetry history (counters, stage histograms,
-        // the event journal) spans rebuilds, and the carried prepared
-        // cache's counters are registered in the carried recorder.
-        let serving = self.serving.clone();
-        let obs = self.obs.clone();
-        let metrics = self.metrics.clone();
-        *self = rebuilt;
-        self.epoch = epoch;
-        self.prepared = prepared;
-        self.maintenance.counters = counters;
-        self.serving = serving;
-        self.obs = obs;
-        self.metrics = metrics;
-        self.publish_snapshot();
-    }
-
     /// Removes a document by name. Under the slack policy the grid never
     /// moves: removing the **newest** document truncates the mega-tree,
     /// index and shard list in place (O(removed document), zero
     /// re-bucketing); an interior removal compacts the remaining
-    /// documents' positions and rebuilds their shards **on the pinned
-    /// grid** (drift accounting carries forward — the grid was not
-    /// re-derived). Under the static policy the grid re-derives as
-    /// before. No path re-parses or re-classifies anything; the catalog
+    /// documents' positions and re-buckets their shards **on the pinned
+    /// grid** through [`Database::rebuild`], replaying the mega-tree and
+    /// element index (drift accounting carries forward — the grid was
+    /// not re-derived). Under the static policy the grid re-derives as
+    /// well. No path re-parses or re-classifies anything; the catalog
     /// keeps its predicate definitions, and tags now matching nothing
-    /// summarize as empty.
+    /// summarize as empty. A failed removal changes nothing.
     pub fn remove_document(&mut self, name: &str) -> Result<()> {
         self.require_collection()?;
         let Some(pos) = self.shards.iter().position(|s| s.name == name) else {
@@ -898,45 +914,23 @@ impl Database {
             .policy
             .is_slack()
             .then(|| self.summaries.grid().clone());
-        let continuity = pinned.is_some().then(|| {
-            (
-                self.maintenance.tracker.baseline(),
-                self.maintenance.tracker.mutations(),
-            )
-        });
-        let (mut sources, mut derived) = self.dismantle_shards()?;
-        let removed_source = sources.remove(pos);
-        let removed_derived = derived.remove(pos);
-        match Database::from_collection(self.catalog.clone(), self.config.clone(), sources, pinned)
-        {
-            Ok(rebuilt) => {
-                self.replace_rebuilt(rebuilt);
-                match continuity {
-                    // Pinned grid: the boundaries did not move, so the
-                    // baseline recorded at the last derivation (and the
-                    // mutation count) stay in force.
-                    Some((baseline, mutations)) => {
-                        self.maintenance
-                            .tracker
-                            .restore_continuity(baseline, mutations);
-                        self.maintenance.counters.pinned_rebuilds += 1;
-                        self.auto_refresh_if_needed();
-                    }
-                    None => {
-                        self.maintenance.counters.grid_moves += 1;
-                    }
-                }
-                Ok(())
-            }
-            Err((e, mut sources)) => {
-                // Atomic failure: put the document back in its original
-                // position and restore the previous serving state.
-                sources.insert(pos, removed_source);
-                derived.insert(pos, removed_derived);
-                self.restore_shards(sources, derived);
-                Err(e)
-            }
+        if pinned.is_none() {
+            self.rebuild(Rebuild::Remove(pos), None)?;
+            self.maintenance.counters.grid_moves += 1;
+            return Ok(());
         }
+        // Pinned grid: the boundaries do not move, so the baseline
+        // recorded at the last derivation (and the mutation count) stay
+        // in force.
+        let baseline = self.maintenance.tracker.baseline();
+        let mutations = self.maintenance.tracker.mutations();
+        self.rebuild(Rebuild::Remove(pos), pinned)?;
+        self.maintenance
+            .tracker
+            .restore_continuity(baseline, mutations);
+        self.maintenance.counters.pinned_rebuilds += 1;
+        self.auto_refresh_if_needed();
+        Ok(())
     }
 
     /// The stable-removal commit for the newest document: re-merge the
@@ -1017,13 +1011,16 @@ impl Database {
 
     /// Re-derives the grid from the stored classified interval lists —
     /// equi-depth boundaries when the config says so, slack padding per
-    /// the policy — rebuilds every shard summary in parallel on it, and
-    /// atomically swaps the serving view in. **Zero tree traversal, no
-    /// re-parsing, no re-classification.** The epoch bumps, so every
-    /// cached prepared query (and memoized plan) re-prepares lazily; the
-    /// grid derivation is deterministic, so the refreshed database
-    /// estimates bit-identically to one built cold on the same
-    /// collection.
+    /// the policy — re-buckets every shard summary on it in parallel and
+    /// re-merges, through the same [`derive_collection`] step a cold load
+    /// runs ([`Database::rebuild`]), then commits in place. No document
+    /// moves, so offsets, the mega-tree and the element index stay as
+    /// they are. **Zero tree traversal, no re-parsing, no
+    /// re-classification.** The epoch bumps, so every cached prepared
+    /// query (and memoized plan) re-prepares lazily; the grid derivation
+    /// is deterministic, so the refreshed database estimates
+    /// bit-identically to one built cold on the same collection. A
+    /// failed refresh changes nothing.
     ///
     /// Fires automatically when drift crosses the policy threshold
     /// (under [`xmlest_core::GridPolicy::Slack`] with `auto_refresh`);
@@ -1041,8 +1038,8 @@ impl Database {
     /// committed, so returning its error would break the mutation's
     /// atomic-failure contract (a caller retrying the "failed" add
     /// would insert the document twice). A refresh that cannot rebuild
-    /// rolls itself back (the database keeps serving consistently on
-    /// the old grid, drift stays high) and is surfaced through the
+    /// changes nothing (the database keeps serving consistently on the
+    /// old grid, drift stays high) and is surfaced through the
     /// `failed_auto_refreshes` counter; the next mutation — or a manual
     /// [`Database::refresh_grid`], which does report errors — retries.
     ///
@@ -1099,186 +1096,33 @@ impl Database {
         }
     }
 
-    /// [`Database::refresh_grid`] forced down the full-rebuild path,
-    /// bypassing the predicate-scoped splice ([`xmlest_core::refresh`])
-    /// — the baseline the scoped path is benchmarked and
-    /// property-tested against (the two must produce bit-identical
-    /// summaries).
-    #[doc(hidden)]
-    pub fn refresh_grid_full(&mut self) -> Result<()> {
-        self.require_collection()?;
-        let drift = self.maintenance.tracker.drift();
-        self.refresh_full_inner(false, drift)
-    }
-
     fn refresh_inner(&mut self, auto: bool, drift_at: f64) -> Result<()> {
         // Clone the handle so the span doesn't hold a borrow of `self`
         // across the mutating refresh below.
         let obs = self.obs.clone();
-        let span = obs.span(Stage::Refresh);
-        // Predicate-scoped path first: when the re-derived grid keeps
-        // its bucket count, only the predicates whose rows actually
-        // moved rebuild; everything else — including the mega-tree, the
-        // element index and the memoized coefficient tables of spliced
-        // predicates — carries over verbatim. Any precondition miss or
-        // splice error falls back to the full rebuild below.
-        let res = if self.try_scoped_refresh(auto, drift_at) {
-            Ok(())
-        } else {
-            self.refresh_full_inner(auto, drift_at)
-        };
-        drop(span);
-        res
-    }
-
-    /// Attempts the splice-based refresh; `true` means it committed
-    /// (summaries, shards, fold state, tracker and counters are all
-    /// updated). `false` leaves the database untouched.
-    fn try_scoped_refresh(&mut self, auto: bool, drift_at: f64) -> bool {
-        if self.merge_state.is_none()
-            || self.shards.is_empty()
-            || !self.quarantine.is_empty()
-            || self.shards.iter().any(|s| s.source.is_none())
-        {
-            return false;
-        }
-        // An armed rebuild fault must fail the refresh, not be skipped
-        // around: decline (without consuming) so the full path's
-        // `from_collection` consumes it and reports the failure.
-        #[cfg(test)]
-        if test_faults::armed() {
-            return false;
-        }
-        let computed = {
-            let state = self.merge_state.as_ref().expect("checked above"); // xlint: allow(no-panic, "is_none() returned false two statements up")
-            let inputs: Vec<(&DocumentSummaryInput, u32)> = self
-                .shards
-                .iter()
-                .map(|s| {
-                    let src = s.source.as_ref().expect("sources checked above"); // xlint: allow(no-panic, "the any(is_none) guard above returned false")
-                    (&src.input, s.offset)
-                })
-                .collect();
-            let Ok(new_grid) = make_collection_grid(&inputs, &self.catalog, &self.config) else {
-                return false;
-            };
-            // The splice argument needs equal bucket counts; a g change
-            // re-buckets everything anyway, so the full path is right.
-            if new_grid.g() != self.summaries.grid().g() {
-                return false;
-            }
-            let old_shards: Vec<&Summaries> = self.shards.iter().map(|s| &s.summaries).collect();
-            let Ok(scoped) = refresh_scoped(
-                &inputs,
-                &old_shards,
-                &self.summaries,
-                state,
-                &new_grid,
-                &self.catalog,
-                &self.config,
-            ) else {
-                return false;
-            };
-            // Same tracker a cold rebuild derives: baselines re-anchor
-            // to the new grid's occupancy.
-            let tracker = DriftTracker::from_inputs(&new_grid, &self.catalog, &inputs);
-            // Memoized coefficient tables of spliced predicates stay
-            // valid (their inner histograms are bit-identical); carry
-            // them across the rebind instead of recomputing on first
-            // use.
-            let carried: Vec<_> = self
-                .coeff_cache
-                .entries()
-                .into_iter()
-                .filter(|(name, _, _)| scoped.spliced.iter().any(|n| n == name))
-                .collect();
-            (scoped, tracker, carried)
-        };
-        let (scoped, tracker, carried) = computed;
-
-        // Install. Offsets, mega-tree and element index are untouched —
-        // the document layout did not change, only bucket boundaries.
-        for (shard, summaries) in self.shards.iter_mut().zip(scoped.shards) {
-            shard.summaries = summaries;
-        }
-        self.summaries = Arc::new(scoped.merged);
-        self.merge_state = Some(scoped.state);
-        // The undo snapshots were captured on the old grid.
-        self.undo.clear();
-        self.maintenance.tracker = tracker;
-        self.epoch += 1;
-        let new_grid = self.summaries.grid().clone();
-        for (name, _, table) in carried {
-            self.coeff_cache.seed(
-                &self.summaries,
-                &name,
-                Arc::new(table.rebound_to(new_grid.clone())),
-            );
-        }
-        xmlest_core::invariants::checkpoint("Database::refresh_grid(scoped)", || {
-            self.summaries.validate()
-        });
-        self.publish_snapshot();
+        let _span = obs.span(Stage::Refresh);
+        self.rebuild(Rebuild::Refresh, None)?;
         let c = &mut self.maintenance.counters;
         c.refreshes += 1;
         c.grid_moves += 1;
-        c.scoped_refreshes += 1;
-        c.spliced_entries += scoped.spliced.len() as u64;
-        c.rebuilt_entries += scoped.rebuilt_entries as u64;
         if auto {
             c.auto_refreshes += 1;
         }
         c.last_refresh_drift = drift_at;
+        // A successful refresh ends any losing streak.
         c.refresh_strikes = 0;
         c.refresh_backoff_until = 0;
         let was_degraded = std::mem::take(&mut c.refresh_degraded);
         self.obs.event(
             EventKind::Refresh,
             self.epoch,
-            1,
+            self.shards.len() as u64,
             (drift_at * 1e6).max(0.0) as u64,
         );
         if was_degraded {
             self.obs.event(EventKind::DegradedExit, self.epoch, 0, 0);
         }
-        true
-    }
-
-    fn refresh_full_inner(&mut self, auto: bool, drift_at: f64) -> Result<()> {
-        let (sources, derived) = self.dismantle_shards()?;
-        match Database::from_collection(self.catalog.clone(), self.config.clone(), sources, None) {
-            Ok(rebuilt) => {
-                self.replace_rebuilt(rebuilt);
-                xmlest_core::invariants::checkpoint("Database::refresh_grid", || {
-                    self.summaries.validate()
-                });
-                let c = &mut self.maintenance.counters;
-                c.refreshes += 1;
-                c.grid_moves += 1;
-                if auto {
-                    c.auto_refreshes += 1;
-                }
-                c.last_refresh_drift = drift_at;
-                // A successful refresh ends any losing streak.
-                c.refresh_strikes = 0;
-                c.refresh_backoff_until = 0;
-                let was_degraded = std::mem::take(&mut c.refresh_degraded);
-                self.obs.event(
-                    EventKind::Refresh,
-                    self.epoch,
-                    0,
-                    (drift_at * 1e6).max(0.0) as u64,
-                );
-                if was_degraded {
-                    self.obs.event(EventKind::DegradedExit, self.epoch, 0, 0);
-                }
-                Ok(())
-            }
-            Err((e, sources)) => {
-                self.restore_shards(sources, derived);
-                Err(e)
-            }
-        }
+        Ok(())
     }
 
     /// Snapshot of the grid maintenance layer: policy, capacity and
@@ -1302,9 +1146,6 @@ impl Database {
             pinned_rebuilds: c.pinned_rebuilds,
             overflow_appends: c.overflow_appends,
             refreshes: c.refreshes,
-            scoped_refreshes: c.scoped_refreshes,
-            spliced_entries: c.spliced_entries,
-            rebuilt_entries: c.rebuilt_entries,
             auto_refreshes: c.auto_refreshes,
             failed_auto_refreshes: c.failed_auto_refreshes,
             last_refresh_drift: c.last_refresh_drift,
@@ -2251,6 +2092,24 @@ mod tests {
         d.remove_document("a.xml").unwrap();
         assert_eq!(d.document_names(), vec!["b.xml", "c.xml"]);
         assert_eq!(d.count("//a//x").unwrap(), 1);
+
+        // So does a manual refresh: same epoch, grid, documents and
+        // estimates, and the retried refresh succeeds.
+        let epoch = d.epoch();
+        let grid = d.summaries().grid().clone();
+        let before = d.estimate("//a//x").unwrap().value;
+        test_faults::arm(1);
+        assert!(d.refresh_grid().is_err());
+        assert_eq!(d.epoch(), epoch, "failed refresh must not bump the epoch");
+        assert_eq!(d.summaries().grid(), &grid);
+        assert_eq!(d.document_names(), vec!["b.xml", "c.xml"]);
+        assert_eq!(
+            d.estimate("//a//x").unwrap().value.to_bits(),
+            before.to_bits()
+        );
+        assert_eq!(d.telemetry().maintenance.refreshes, 0);
+        d.refresh_grid().unwrap();
+        assert_eq!(d.telemetry().maintenance.refreshes, 1);
     }
 
     /// A drift-triggered refresh that fails to rebuild must not unwind

@@ -21,7 +21,7 @@
 //!      · merge with the *reused*                from classified lists)
 //!        old shard summaries                  · rebuild all shards in
 //!      · extend mega-tree + index               parallel, re-merge
-//!        in place                             · atomic swap
+//!        in place                             · commit in place
 //!                │                                     │
 //!                └────────────┬────────────────────────┘
 //!                             ▼
@@ -36,8 +36,8 @@
 //!                EQUI-DEPTH REFRESH  (Database::refresh_grid)
 //!                · recompute boundaries from the classified
 //!                  lists — zero tree traversal
-//!                · rebuild every shard in parallel on the
-//!                  new grid, merge, swap atomically
+//!                · re-bucket every shard in parallel on the
+//!                  new grid, merge, commit in place
 //!                             │
 //!                             ▼
 //!                EPOCH BUMP → prepared-query cache re-prepares
@@ -96,15 +96,6 @@ pub(crate) struct MaintenanceCounters {
     pub overflow_appends: u64,
     /// Equi-depth refreshes (manual + automatic).
     pub refreshes: u64,
-    /// Refreshes served by the predicate-scoped splice path
-    /// ([`xmlest_core::refresh`]) instead of a full rebuild.
-    pub scoped_refreshes: u64,
-    /// Merged-view predicate tables spliced verbatim across scoped
-    /// refreshes (cumulative).
-    pub spliced_entries: u64,
-    /// Merged-view predicate tables re-merged during scoped refreshes
-    /// (cumulative).
-    pub rebuilt_entries: u64,
     /// Refreshes fired by the drift threshold inside a mutation.
     pub auto_refreshes: u64,
     /// Drift-triggered refreshes that failed to rebuild. The mutation
@@ -165,11 +156,12 @@ impl MaintenanceState {
 ///
 /// The cumulative path counters (`stable_appends`, `stable_removes`,
 /// `grid_moves`, `pinned_rebuilds`, `overflow_appends`, `refreshes`,
-/// `scoped_refreshes`, `spliced_entries`, `rebuilt_entries`,
 /// `auto_refreshes`, `failed_auto_refreshes`, `backoff_skips`) are
-/// **monotonic for the lifetime of the database**: they survive grid
-/// refreshes and full rebuilds and are never reset by any API. Rate
-/// them by differencing successive snapshots. Everything else is a
+/// **monotonic for the lifetime of the in-process database**: every
+/// rebuild — refresh, interior removal, overflowing append — commits in
+/// place and keeps them, and no API resets them. A catalog reopen starts
+/// them at zero (they are not persisted). Rate them by differencing
+/// successive snapshots. Everything else is a
 /// **gauge / level**: `skew`, `baseline_skew`, `drift`,
 /// `grid_capacity`, `occupied`, `mutations_since_derive`,
 /// `last_refresh_drift` and `refresh_degraded` move both ways, and
@@ -200,12 +192,6 @@ pub struct MaintenanceStats {
     pub pinned_rebuilds: u64,
     pub overflow_appends: u64,
     pub refreshes: u64,
-    /// Refreshes that took the predicate-scoped splice path.
-    pub scoped_refreshes: u64,
-    /// Predicate tables spliced across scoped refreshes (cumulative).
-    pub spliced_entries: u64,
-    /// Predicate tables re-merged during scoped refreshes (cumulative).
-    pub rebuilt_entries: u64,
     pub auto_refreshes: u64,
     pub failed_auto_refreshes: u64,
     pub last_refresh_drift: f64,

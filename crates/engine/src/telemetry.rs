@@ -323,9 +323,6 @@ impl Telemetry {
         json_u64(&mut out, "pinned_rebuilds", m.pinned_rebuilds);
         json_u64(&mut out, "overflow_appends", m.overflow_appends);
         json_u64(&mut out, "refreshes", m.refreshes);
-        json_u64(&mut out, "scoped_refreshes", m.scoped_refreshes);
-        json_u64(&mut out, "spliced_entries", m.spliced_entries);
-        json_u64(&mut out, "rebuilt_entries", m.rebuilt_entries);
         json_u64(&mut out, "auto_refreshes", m.auto_refreshes);
         json_u64(&mut out, "failed_auto_refreshes", m.failed_auto_refreshes);
         json_f64(&mut out, "last_refresh_drift", m.last_refresh_drift);

@@ -231,7 +231,7 @@ impl Bencher {
             }
             let elapsed = t.elapsed();
             if warm_start.elapsed() >= warmup && elapsed >= Duration::from_micros(50) {
-                let per_iter = elapsed.as_nanos().max(1) / iters as u128;
+                let per_iter = (elapsed.as_nanos() / iters as u128).max(1);
                 iters = (window.as_nanos() / per_iter).clamp(1, 1 << 24) as u64;
                 break;
             }

@@ -325,8 +325,8 @@ pub enum EventKind {
     /// A new serving snapshot was published. `a` = frozen prepared
     /// twigs carried, `b` = 1 if the snapshot is degraded.
     SnapshotPublish = 1,
-    /// A summary refresh committed. `a` = 1 if predicate-scoped, 0 if
-    /// full, `b` = pre-refresh drift in millionths.
+    /// A summary refresh committed. `a` = documents re-bucketed, `b` =
+    /// pre-refresh drift in millionths.
     Refresh = 2,
     /// An automatic refresh attempt failed. `a` = consecutive strike
     /// count after this failure, `b` = backoff window in mutation
