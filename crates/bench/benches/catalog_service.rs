@@ -3,8 +3,8 @@
 //!
 //! * `catalog_load` — cold rebuild (parse + classify + shard build +
 //!   merge via `Database::load_documents`) versus `Database::open_catalog`
-//!   (deserialize the persisted summaries/shards/coefficient tables,
-//!   zero tree traversal), per document count. The acceptance bar is
+//!   (deserialize the persisted summaries and shards, zero tree
+//!   traversal), per document count. The acceptance bar is
 //!   catalog open ≥ 5× faster than cold rebuild at ≥ 8 documents.
 //! * `service_batch` — a batch of repeated path queries served one at a
 //!   time through `Database::estimate` versus drained through
@@ -50,13 +50,7 @@ fn bench_catalog_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("catalog_load");
     for n in [2usize, 4, 8, 16] {
         let docs = collection(n);
-        let db = load(&docs);
-        // Warm the coefficient cache so the persisted catalog carries
-        // tables (the realistic serving state).
-        for path in ["//article//author", "//article//cite", "//dblp//title"] {
-            db.estimate(path).ok();
-        }
-        let bytes = db.save_catalog();
+        let bytes = load(&docs).save_catalog();
 
         group.bench_with_input(BenchmarkId::new("cold_rebuild", n), &n, |b, _| {
             b.iter(|| load(black_box(&docs)).summaries().tree_nodes())

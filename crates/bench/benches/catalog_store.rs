@@ -38,17 +38,11 @@ fn collection(n: usize) -> Database {
             )
         })
         .collect();
-    let db = Database::load_documents(
+    Database::load_documents(
         docs.iter().map(|(n, x)| (n.as_str(), x.as_str())),
         &SummaryConfig::paper_defaults(),
     )
-    .expect("collection builds");
-    // Warm the coefficient cache so the catalog carries tables (the
-    // realistic serving state).
-    for path in ["//article//author", "//article//cite", "//dblp//title"] {
-        db.estimate(path).ok();
-    }
-    db
+    .expect("collection builds")
 }
 
 /// Corrupts the middle of the `victim`-th SHARD frame in catalog bytes.

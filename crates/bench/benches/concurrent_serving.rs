@@ -191,8 +191,8 @@ fn main() {
     let ops = if fast { 2_000 } else { 10_000 };
 
     let db = load(&collection(8));
-    // Warm the coefficient cache so reads serve from carried tables —
-    // the steady serving state, not first-touch derivation.
+    // Warm the prepared cache, so the snapshots published under write
+    // load carry these paths' twigs — the steady serving state.
     for path in PATHS {
         db.estimate(path).expect("warmup estimate");
     }

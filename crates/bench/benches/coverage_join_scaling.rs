@@ -65,7 +65,6 @@ fn bench_coverage_join(c: &mut Criterion) {
                     &mut ws,
                     black_box(&x).view(),
                     black_box(&y).view(),
-                    None,
                     &mut out,
                 )
                 .unwrap();
@@ -85,7 +84,6 @@ fn bench_coverage_join(c: &mut Criterion) {
                     &mut ws,
                     black_box(&x).view(),
                     black_box(&y).view(),
-                    None,
                     &mut out,
                 )
                 .unwrap();
@@ -95,7 +93,7 @@ fn bench_coverage_join(c: &mut Criterion) {
 
         // The two paths must agree before their timings mean anything.
         let merged = {
-            ancestor_join_into(&mut ws, x.view(), y.view(), None, &mut out).unwrap();
+            ancestor_join_into(&mut ws, x.view(), y.view(), &mut out).unwrap();
             out.match_total()
         };
         let nested = ancestor_join_no_overlap_reference(&x, &y, &cvg)

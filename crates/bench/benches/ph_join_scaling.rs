@@ -1,10 +1,6 @@
 //! pH-join algorithm benchmarks (Section 3.3's time analysis).
 //!
 //! Implementations of the same estimate, fastest to slowest:
-//! * `precomputed_apply` — coefficients precomputed per Section 3.3's
-//!   space–time tradeoff; each join then costs only the O(g) non-zero
-//!   cells of the outer operand (this is what the engine's
-//!   `CoeffCache` serves);
 //! * `workspace_total` — the three-pass partial-sum algorithm of Fig. 9
 //!   (O(g²) work) on a reused [`JoinWorkspace`]: zero allocations in
 //!   steady state;
@@ -23,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xmlest_bench::baseline::BTreeHistogram;
 use xmlest_bench::dept_workload;
-use xmlest_core::ph_join::{ph_join, ph_join_reference, JoinCoefficients, JoinWorkspace};
+use xmlest_core::ph_join::{ph_join, ph_join_reference, JoinWorkspace};
 use xmlest_core::Basis;
 
 fn bench_ph_join(c: &mut Criterion) {
@@ -60,15 +56,6 @@ fn bench_ph_join(c: &mut Criterion) {
                     .total()
             })
         });
-        let coeffs = JoinCoefficients::precompute(&desc, Basis::AncestorBased);
-        group.bench_with_input(BenchmarkId::new("precomputed_apply", g), &g, |b, _| {
-            b.iter(|| coeffs.apply_total(black_box(&anc)).unwrap())
-        });
-        group.bench_with_input(
-            BenchmarkId::new("precompute_coefficients", g),
-            &g,
-            |b, _| b.iter(|| JoinCoefficients::precompute(black_box(&desc), Basis::AncestorBased)),
-        );
     }
     group.finish();
 }

@@ -92,7 +92,7 @@ fn bench_batch_cache(c: &mut Criterion) {
         let path_batch: Vec<&str> = paths.iter().cycle().take(batch_size).copied().collect();
 
         // No cache at all: parse + estimate per query (seed behavior).
-        let est = db.estimator();
+        let est = db.summaries().estimator();
         group.bench_with_input(
             BenchmarkId::new("uncached", batch_size),
             &batch_size,
@@ -107,8 +107,7 @@ fn bench_batch_cache(c: &mut Criterion) {
                 })
             },
         );
-        // The batch routine over the published snapshot, coefficient
-        // tables warm.
+        // The batch routine over the published snapshot, workspace warm.
         let snapshot = db.snapshot();
         snapshot.estimate_batch(&path_batch);
         group.bench_with_input(

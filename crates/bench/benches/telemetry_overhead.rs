@@ -148,8 +148,8 @@ fn main() {
     let rounds = if fast { 3 } else { 5 };
 
     let db = load_collection(8);
-    // Warm caches in both dimensions: prepared entries and coefficient
-    // tables — the measured loop is the steady serving state.
+    // Warm the prepared entries — the measured loop is the steady
+    // serving state.
     for path in PATHS {
         db.estimate(path).expect("warmup estimate");
     }

@@ -18,14 +18,11 @@
 //!   [`crate::summary::to_bytes`] wholesale),
 //! * one summary shard per document ([`CatalogShard`]: name, position
 //!   offset, its own [`Summaries`] over the shared grid), and
-//! * every memoized [`JoinCoefficients`] table, serialized **CSR** like
-//!   the histograms — `(cell, f64)` entries in row-major order, only
-//!   non-zeros — so a reopened database's coefficient cache starts warm,
 //! * the grid maintenance state: the [`DriftTracker`]'s occupancy rows,
 //!   so a reopened database resumes drift accounting exactly where the
 //!   saved one left off.
 //!
-//! ## Wire layout (version 3)
+//! ## Wire layout (version 4)
 //!
 //! ```text
 //! ┌──────────┬─────────┬──────────────┬──────────────┬───────────────┐
@@ -48,18 +45,25 @@
 //! kind 2  MERGED  — summary::to_bytes of the mega-tree summaries
 //! kind 3  SHARD   — directory index u32, summary::to_bytes bytes
 //!                   (one section per directory entry, in order)
-//! kind 4  COEFFS  — count u32, { name str, basis u8, grid,
-//!                                entries u32, { cell, f64 }* }*
 //! kind 5  DRIFT   — g u16, baseline f64, mutations u64,
 //!                   rows u32, { name str, buckets u32, u64* }*
 //!                   (section present only when a tracker was saved)
 //! ```
 //!
+//! Kind 4, COEFFS, is a v1–v3 section: precomputed pH-join coefficient
+//! tables, `count u32, { name str, basis u8, grid, entries u32,
+//! { cell, f64 }* }*`. The estimator no longer uses such tables, so
+//! the writer omits the section and every open skips it. A **version
+//! 3** catalog has the v4 layout plus one COEFFS frame between the last
+//! SHARD and DRIFT: the strict open checks its checksum and walks its
+//! body through the bounds-checked [`Reader`] without building a table;
+//! the lenient open ignores it.
+//!
 //! **Version 1/2** catalogs (a single unframed payload guarded only by
-//! the whole-payload checksum) still open through the legacy parser:
-//! v1 defaults the policy to [`GridPolicy::Static`] — exactly the
-//! behavior those bytes were produced under — and starts drift
-//! accounting fresh.
+//! the whole-payload checksum) still open through the legacy parser,
+//! which walks past their coefficient list the same way: v1 defaults
+//! the policy to [`GridPolicy::Static`] — exactly the behavior those
+//! bytes were produced under — and starts drift accounting fresh.
 //!
 //! ## Two open modes
 //!
@@ -78,8 +82,8 @@
 //! section **quarantines only that document** — the survivors re-merge
 //! into a serving view that preserves the original position space
 //! (see [`crate::shard::merge_shards_with_total`]) — a corrupt MERGED
-//! section is rebuilt from the shards, and corrupt COEFFS/DRIFT
-//! sections are dropped (both are re-derivable caches). The returned
+//! section is rebuilt from the shards, and a corrupt DRIFT section is
+//! dropped (drift accounting restarts). The returned
 //! [`OpenReport`] lists every quarantined document with its reason, so
 //! the engine can surface a degraded open and `repair()` it from
 //! sources. Hostile bytes return [`Error::Corrupt`] or quarantine,
@@ -89,7 +93,6 @@
 use crate::error::{Error, Result};
 use crate::estimator::{Summaries, SummaryConfig};
 use crate::grid::Grid;
-use crate::ph_join::{Basis, JoinCoefficients};
 use crate::regrid::{DriftTracker, GridPolicy};
 use crate::shard::merge_shards_with_total;
 use crate::summary::{
@@ -98,7 +101,7 @@ use crate::summary::{
 use xmlest_predicate::Catalog;
 
 const MAGIC: &[u8; 4] = b"XCTL";
-const VERSION: u16 = 3;
+const VERSION: u16 = 4;
 /// Oldest version [`CatalogFile::from_bytes`] still accepts.
 const MIN_VERSION: u16 = 1;
 /// Header bytes before the payload: magic + version + length + checksum.
@@ -106,10 +109,11 @@ const HEADER_LEN: usize = 4 + 2 + 8 + 8;
 /// Section frame header: kind + body length + body checksum.
 const FRAME_HEADER_LEN: usize = 1 + 8 + 8;
 
-/// Section kinds of the v3 payload, in their required order.
+/// Section kinds of the framed (v3+) payload, in their required order.
 const SEC_META: u8 = 1;
 const SEC_MERGED: u8 = 2;
 const SEC_SHARD: u8 = 3;
+/// Coefficient tables: present in v3 files only, never read.
 const SEC_COEFFS: u8 = 4;
 const SEC_DRIFT: u8 = 5;
 
@@ -147,9 +151,6 @@ pub struct QuarantinedShard {
 pub struct OpenReport {
     /// Documents excluded from the serving view, with reasons.
     pub quarantined: Vec<QuarantinedShard>,
-    /// The memoized coefficient tables were corrupt and dropped (the
-    /// cache re-derives on demand; estimates are unaffected).
-    pub dropped_coefficients: bool,
     /// The drift-tracker section was corrupt and dropped (drift
     /// accounting restarts; estimates are unaffected).
     pub dropped_drift: bool,
@@ -163,10 +164,7 @@ impl OpenReport {
     /// Whether the open was fully healthy — nothing quarantined,
     /// dropped, or rebuilt.
     pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty()
-            && !self.dropped_coefficients
-            && !self.dropped_drift
-            && !self.remerged
+        self.quarantined.is_empty() && !self.dropped_drift && !self.remerged
     }
 }
 
@@ -183,8 +181,6 @@ pub struct CatalogFile {
     pub merged: Summaries,
     /// Per-document shards, collection order.
     pub shards: Vec<CatalogShard>,
-    /// Memoized coefficient tables, `(predicate name, table)`.
-    pub coefficients: Vec<(String, JoinCoefficients)>,
     /// Grid policy the summaries were built under (v1 catalogs open as
     /// [`GridPolicy::Static`], the behavior they were produced under).
     pub policy: GridPolicy,
@@ -241,66 +237,23 @@ fn read_policy(r: &mut Reader) -> Result<GridPolicy> {
     }
 }
 
-fn write_coefficients(w: &mut Writer, coefficients: &[(String, JoinCoefficients)]) {
-    w.u32(coefficients.len() as u32);
-    for (name, table) in coefficients {
-        w.str(name);
-        w.u8(match table.basis() {
-            Basis::AncestorBased => 0,
-            Basis::DescendantBased => 1,
-        });
-        write_grid(w, table.grid());
-        let entries = table.entries();
-        w.u32(entries.len() as u32);
-        for &(cell, v) in entries {
-            w.cell(cell);
-            w.f64(v);
-        }
-    }
-}
-
-/// Reads the coefficient tables, validating every table against the
-/// catalog's grid and the CSR ordering invariant.
-fn read_coefficients(r: &mut Reader, expected: &Grid) -> Result<Vec<(String, JoinCoefficients)>> {
+/// Walks past a v1–v3 coefficient-table list without building a
+/// table. Every count goes through [`Reader::count`], so a hostile
+/// prefix is an error, never an allocation.
+fn skip_coefficients(r: &mut Reader) -> Result<()> {
     // Name length, basis tag, empty grid (count + uniform flag), entry
     // count.
     let n = r.count(4 + 1 + 5 + 4)?;
-    let mut coefficients = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = r.str()?;
-        let basis = match r.u8()? {
-            0 => Basis::AncestorBased,
-            1 => Basis::DescendantBased,
-            b => return Err(Error::Corrupt(format!("unknown basis tag {b}"))),
-        };
-        let grid = read_grid(r)?;
-        if &grid != expected {
-            return Err(Error::Corrupt(format!(
-                "coefficient table {name:?} is on a different grid"
-            )));
+        r.str()?;
+        r.u8()?;
+        read_grid(r)?;
+        for _ in 0..r.count(4 + 8)? {
+            r.cell()?;
+            r.f64()?;
         }
-        let count = r.count(4 + 8)?;
-        let mut entries: Vec<(crate::grid::Cell, f64)> = Vec::with_capacity(count);
-        for _ in 0..count {
-            let cell = r.cell()?;
-            if cell.0 > cell.1 || cell.1 >= grid.g() {
-                return Err(Error::Corrupt(format!("invalid coefficient cell {cell:?}")));
-            }
-            if let Some(&(last, _)) = entries.last() {
-                if last >= cell {
-                    return Err(Error::Corrupt(
-                        "coefficient entries out of row-major order".into(),
-                    ));
-                }
-            }
-            entries.push((cell, r.f64()?));
-        }
-        coefficients.push((
-            name,
-            JoinCoefficients::from_sorted_entries(grid, basis, &entries),
-        ));
     }
-    Ok(coefficients)
+    Ok(())
 }
 
 fn write_drift(w: &mut Writer, t: &DriftTracker) {
@@ -521,11 +474,6 @@ impl CatalogFile {
             frame(&mut payload, SEC_SHARD, &b.out);
         }
 
-        // COEFFS (always framed, possibly zero entries).
-        let mut c = Writer::default();
-        write_coefficients(&mut c, &self.coefficients);
-        frame(&mut payload, SEC_COEFFS, &c.out);
-
         // DRIFT, only when a tracker was saved.
         if let Some(t) = &self.drift {
             let mut d = Writer::default();
@@ -609,7 +557,7 @@ impl CatalogFile {
         let expected_kinds: Vec<u8> = [SEC_META, SEC_MERGED]
             .into_iter()
             .chain(std::iter::repeat_n(SEC_SHARD, n))
-            .chain([SEC_COEFFS])
+            .chain((version == 3).then_some(SEC_COEFFS))
             .collect();
         let kinds: Vec<u8> = sections.iter().map(|s| s.kind).collect();
         let drift_present = kinds.len() == expected_kinds.len() + 1;
@@ -646,19 +594,21 @@ impl CatalogFile {
                 summaries,
             });
         }
-        let coeff_sec = &sections[2 + n];
-        let mut r = Reader {
-            data: coeff_sec.body,
-            pos: 0,
-        };
-        let coefficients = read_coefficients(&mut r, &meta.grid)?;
-        if r.pos != coeff_sec.body.len() {
-            return Err(Error::Corrupt(
-                "trailing bytes after coefficient tables".into(),
-            ));
+        if version == 3 {
+            let coeff_sec = &sections[2 + n];
+            let mut r = Reader {
+                data: coeff_sec.body,
+                pos: 0,
+            };
+            skip_coefficients(&mut r)?;
+            if r.pos != coeff_sec.body.len() {
+                return Err(Error::Corrupt(
+                    "trailing bytes after coefficient tables".into(),
+                ));
+            }
         }
         let drift = if drift_present {
-            let drift_sec = &sections[3 + n];
+            let drift_sec = &sections[expected_kinds.len()];
             let mut r = Reader {
                 data: drift_sec.body,
                 pos: 0,
@@ -677,7 +627,6 @@ impl CatalogFile {
             catalog: meta.catalog,
             merged,
             shards,
-            coefficients,
             policy: meta.policy,
             drift,
         };
@@ -760,7 +709,8 @@ impl CatalogFile {
     /// Opens a catalog in **degraded** mode: per-section checksums
     /// localize corruption, bad shard sections are quarantined instead
     /// of failing the open, a bad MERGED section is rebuilt from the
-    /// surviving shards, and bad COEFFS/DRIFT sections are dropped.
+    /// surviving shards, a bad DRIFT section is dropped, and a v3
+    /// COEFFS section is ignored whatever its state.
     /// Fatal only when the META section (the root of trust) is corrupt,
     /// or when nothing servable survives. The [`OpenReport`] says
     /// exactly what was lost; a clean file returns
@@ -858,22 +808,6 @@ impl CatalogFile {
             }
         };
 
-        // COEFFS: a re-derivable cache — drop on any damage.
-        let coefficients = sections
-            .iter()
-            .find(|s| s.kind == SEC_COEFFS && s.checksum_ok)
-            .and_then(|s| {
-                let mut r = Reader {
-                    data: s.body,
-                    pos: 0,
-                };
-                read_coefficients(&mut r, &meta.grid)
-                    .ok()
-                    .filter(|_| r.pos == s.body.len())
-            });
-        report.dropped_coefficients = coefficients.is_none();
-        let coefficients = coefficients.unwrap_or_default();
-
         // DRIFT: optional in the format; dropped only when a section is
         // present but damaged.
         let drift_sec = sections.iter().find(|s| s.kind == SEC_DRIFT);
@@ -896,7 +830,6 @@ impl CatalogFile {
             catalog: meta.catalog,
             merged,
             shards,
-            coefficients,
             policy: meta.policy,
             drift,
         };
@@ -950,8 +883,8 @@ impl CatalogFile {
                 summaries,
             });
         }
-        // Coefficient tables.
-        let coefficients = read_coefficients(&mut r, merged.grid())?;
+        // Coefficient tables, skipped.
+        skip_coefficients(&mut r)?;
         // Grid maintenance sections (v2). A v1 catalog ends here and
         // opens under the static policy it was produced under.
         let (policy, drift) = if version >= 2 {
@@ -975,7 +908,6 @@ impl CatalogFile {
             catalog,
             merged,
             shards,
-            coefficients,
             policy,
             drift,
         })
@@ -993,7 +925,6 @@ fn read_summaries_section(r: &mut Reader) -> Result<Summaries> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ph_join::Basis;
     use xmlest_predicate::BasePredicate;
     use xmlest_xml::parser::parse_str;
 
@@ -1006,17 +937,61 @@ mod tests {
         catalog.define_all_tags(&tree);
         let config = SummaryConfig::paper_defaults().with_grid_size(4);
         let merged = Summaries::build(&tree, &catalog, &config).unwrap();
-        let fac_hist = merged.get("fac").unwrap().hist.clone();
-        let coeffs = JoinCoefficients::precompute(&fac_hist, Basis::AncestorBased);
         CatalogFile {
             config,
             catalog,
             merged,
             shards: Vec::new(),
-            coefficients: vec![("fac".into(), coeffs)],
             policy: GridPolicy::Static,
             drift: None,
         }
+    }
+
+    /// `file`'s frames re-framed under header `version`, with a COEFFS
+    /// frame holding `coeffs` after the shards (where v3 put it).
+    fn with_coeffs(file: &CatalogFile, coeffs: &[u8], version: u16) -> Vec<u8> {
+        let bytes = file.to_bytes();
+        let (sections, truncated) = walk_frames(&bytes[HEADER_LEN..]);
+        assert!(!truncated);
+        let mut payload = Writer::default();
+        for s in sections.iter().filter(|s| s.kind != SEC_DRIFT) {
+            frame(&mut payload, s.kind, s.body);
+        }
+        frame(&mut payload, SEC_COEFFS, coeffs);
+        for s in sections.iter().filter(|s| s.kind == SEC_DRIFT) {
+            frame(&mut payload, s.kind, s.body);
+        }
+        let mut w = Writer::default();
+        w.bytes(MAGIC);
+        w.u16(version);
+        w.u64(payload.out.len() as u64);
+        w.u64(fnv1a64(&payload.out));
+        w.bytes(&payload.out);
+        w.out
+    }
+
+    /// A v3 COEFFS body: one ancestor-based table with one entry.
+    fn coeffs_body(grid: &Grid) -> Vec<u8> {
+        let mut c = Writer::default();
+        c.u32(1);
+        c.str("fac");
+        c.u8(0);
+        write_grid(&mut c, grid);
+        c.u32(1);
+        c.cell((0, 1));
+        c.f64(0.25);
+        c.out
+    }
+
+    /// Flips one byte in the middle of the first `kind` section's body.
+    fn damage(bytes: &[u8], kind: u8) -> Vec<u8> {
+        let (sections, _) = walk_frames(&bytes[HEADER_LEN..]);
+        let sec = sections.iter().find(|s| s.kind == kind).expect("framed");
+        assert!(!sec.body.is_empty());
+        let body_start = sec.body.as_ptr() as usize - bytes.as_ptr() as usize;
+        let mut bad = bytes.to_vec();
+        bad[body_start + sec.body.len() / 2] ^= 0x5A;
+        bad
     }
 
     #[test]
@@ -1032,11 +1007,10 @@ mod tests {
         );
         assert_eq!(back.merged.len(), file.merged.len());
         assert_eq!(back.merged.grid(), file.merged.grid());
-        assert_eq!(back.coefficients.len(), 1);
-        let (name, table) = &back.coefficients[0];
-        assert_eq!(name, "fac");
-        assert_eq!(table.entries(), file.coefficients[0].1.entries());
-        assert_eq!(table.basis(), Basis::AncestorBased);
+        // Version 4 writes no COEFFS section.
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 4);
+        let (sections, _) = walk_frames(&bytes[HEADER_LEN..]);
+        assert!(sections.iter().all(|s| s.kind != SEC_COEFFS));
         // Lenient open of clean bytes is clean.
         let (_, report) = CatalogFile::open_lenient(&bytes).unwrap();
         assert!(report.is_clean(), "{report:?}");
@@ -1109,31 +1083,47 @@ mod tests {
 
     #[test]
     fn lenient_drops_damaged_rederivable_sections() {
-        // Corrupt the COEFFS section body: strict rejects, lenient
-        // opens with the cache dropped and everything else intact.
-        let file = sample();
-        let bytes = file.to_bytes();
-        // Locate the COEFFS frame by walking the payload.
-        let payload = &bytes[HEADER_LEN..];
-        let (sections, truncated) = walk_frames(payload);
-        assert!(!truncated);
-        let coeff = sections
-            .iter()
-            .find(|s| s.kind == SEC_COEFFS)
-            .expect("coeffs framed");
-        assert!(!coeff.body.is_empty());
-        let body_start = coeff.body.as_ptr() as usize - bytes.as_ptr() as usize;
-        let mut bad = bytes.clone();
-        bad[body_start + coeff.body.len() / 2] ^= 0x5A;
+        let mut file = sample();
+        let g = file.merged.grid().g();
+        file.drift = Some(
+            DriftTracker::from_parts(g, vec![("fac".into(), vec![3, 0, 1, 0])], 0.5, 2).unwrap(),
+        );
+        let coeffs = coeffs_body(file.merged.grid());
 
+        // A v3 file with an intact COEFFS frame opens both ways, clean.
+        let v3 = with_coeffs(&file, &coeffs, 3);
+        let strict = CatalogFile::from_bytes(&v3).unwrap();
+        assert!(strict.drift.is_some());
+        let (_, report) = CatalogFile::open_lenient(&v3).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        // COEFFS belongs to v3 only: a v4 file carrying one is out of
+        // order, and a v3 file without one is too.
+        assert!(CatalogFile::from_bytes(&with_coeffs(&file, &coeffs, 4)).is_err());
+        let mut no_coeffs = file.to_bytes();
+        no_coeffs[4] = 3;
+        assert!(CatalogFile::from_bytes(&no_coeffs).is_err());
+
+        // A damaged COEFFS frame: the strict open rejects it, the
+        // lenient open ignores it and loses nothing.
+        let bad = damage(&v3, SEC_COEFFS);
         assert!(CatalogFile::from_bytes(&bad).is_err());
         let (opened, report) = CatalogFile::open_lenient(&bad).unwrap();
-        assert!(report.dropped_coefficients);
-        assert!(report.quarantined.is_empty());
-        assert!(!report.remerged);
-        assert!(opened.coefficients.is_empty());
+        assert!(report.is_clean(), "{report:?}");
+        assert!(opened.drift.is_some());
         assert_eq!(opened.merged.len(), file.merged.len());
-        assert_eq!(opened.catalog.len(), file.catalog.len());
+
+        // Damaged DRIFT is dropped and reported, in v3 and v4 alike.
+        for bytes in [v3, file.to_bytes()] {
+            let bad = damage(&bytes, SEC_DRIFT);
+            assert!(CatalogFile::from_bytes(&bad).is_err());
+            let (opened, report) = CatalogFile::open_lenient(&bad).unwrap();
+            assert!(report.dropped_drift);
+            assert!(report.quarantined.is_empty());
+            assert!(!report.remerged);
+            assert!(opened.drift.is_none());
+            assert_eq!(opened.merged.len(), file.merged.len());
+            assert_eq!(opened.catalog.len(), file.catalog.len());
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! per-predicate histogram/coverage/level builds then fan out across
 //! cores with `rayon`. Estimation reuses a thread-local
 //! [`TwigWorkspace`] so the join kernels run allocation-free in steady
-//! state, and an optional [`CoeffCache`] (held by the engine's
-//! `Database`) memoizes per-predicate [`JoinCoefficients`] so repeated
-//! twig estimates over the same summaries skip the three-pass kernel.
+//! state; every primitive pH-join runs the streaming Fig. 9 sweep of
+//! [`crate::ph_join::JoinWorkspace`] directly.
 
 use crate::compound::{estimate_expr_histogram, HistResolver};
 use crate::coverage::{CoverageContext, CoverageHistogram};
@@ -25,14 +24,13 @@ use crate::no_overlap::{
     ancestor_join_into, descendant_join_into, NodeStats, StatsSlot, StatsView, TwigWorkspace,
 };
 use crate::parent_child::{parent_child_correction, LevelHistogram};
-use crate::ph_join::{Basis, JoinCoefficients};
+use crate::ph_join::Basis;
 use crate::position_histogram::PositionHistogram;
 use crate::regrid::GridPolicy;
 use crate::twig::{Axis, TwigNode};
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use xmlest_predicate::{BasePredicate, Catalog, PredExpr};
 use xmlest_xml::dtd::DtdAnalysis;
@@ -143,8 +141,7 @@ pub struct Summaries {
     pub(crate) dtd: Option<DtdAnalysis>,
     /// Node count of the summarized tree.
     pub(crate) tree_nodes: u64,
-    /// Process-unique generation id; [`CoeffCache`] binds to it so a
-    /// cache can never serve tables computed from other summaries.
+    /// Process-unique generation id ([`Summaries::generation`]).
     pub(crate) build_id: u64,
 }
 
@@ -339,9 +336,9 @@ impl Summaries {
 
     /// Process-unique generation id, assigned at every (re)build —
     /// clones keep their original's id since their histograms are
-    /// identical. [`CoeffCache`] binds to it; tests use it to observe
-    /// that a summary value was *reused* rather than rebuilt (the
-    /// stable-grid append path re-buckets zero existing shards).
+    /// identical. Tests use it to observe that a summary value was
+    /// *reused* rather than rebuilt (the stable-grid append path
+    /// re-buckets zero existing shards).
     pub fn generation(&self) -> u64 {
         self.build_id
     }
@@ -484,10 +481,7 @@ impl Summaries {
 
     /// An estimator reading from these summaries.
     pub fn estimator(&self) -> Estimator<'_> {
-        Estimator {
-            summaries: self,
-            cache: None,
-        }
+        Estimator { summaries: self }
     }
 }
 
@@ -595,202 +589,10 @@ pub struct Estimate {
     pub method: &'static str,
 }
 
-/// Memoized [`JoinCoefficients`] tables keyed by `(predicate name,
-/// basis)` — the paper's Section 3.3 space–time tradeoff applied across
-/// queries. Summaries are immutable after construction, so a table
-/// computed once from a predicate's base histogram stays valid for the
-/// life of the cache; repeated estimates over the same summaries (the
-/// optimizer prices every plan of every query this way) skip the
-/// three-pass kernel and pay only the O(g) coefficient application.
-///
-/// A cache is **bound to one summaries generation**: every published
-/// table map records the summaries' build id, and using the same cache
-/// with a different `Summaries` (rebuilt data, reloaded file) clears
-/// the stale tables and rebinds instead of silently serving
-/// coefficients from the old histograms.
-///
-/// Thread-safe and **wait-free on hits**: the table map is an immutable
-/// value behind an [`arc_swap::ArcSwap`] cell, so a warm probe is one
-/// lock-free pointer load plus a hash lookup — no lock, no shared-state
-/// write, nothing a concurrent writer can stall. Writers (misses,
-/// seeding, rebinds) serialize on an internal mutex, clone the current
-/// map (`Arc`-shared tables, so the clone is per-entry-pointer, not
-/// per-table), and publish the successor by pointer swap; a racing miss
-/// builds the table outside the lock and the first insert wins (both
-/// results are identical by construction).
-#[derive(Debug, Default)]
-pub struct CoeffCache {
-    /// The current immutable `(generation, tables)` map. Read side of
-    /// the cell is the estimate hot path; see the struct docs.
-    map: arc_swap::ArcSwap<CoeffMap>,
-    /// Serializes writers; never touched by a cache hit.
-    writer: Mutex<()>, // xlint: allow(lock-free-serving, "writer-side publication lock; get_or_build hits never acquire it")
-}
-
-/// One published generation of the cache: per predicate name, one slot
-/// per [`Basis`] (index 0 = ancestor-based, 1 = descendant-based).
-/// Immutable once published; carrying the generation *inside* the map
-/// makes a probe a single atomic load — a reader can never pair a stale
-/// generation check with a newer map.
-#[derive(Debug, Default)]
-struct CoeffMap {
-    /// `Summaries::build_id` the tables were computed from (0 = unbound).
-    generation: u64,
-    entries: HashMap<String, [Option<Arc<JoinCoefficients>>; 2]>,
-}
-
-fn basis_slot(basis: Basis) -> usize {
-    match basis {
-        Basis::AncestorBased => 0,
-        Basis::DescendantBased => 1,
-    }
-}
-
-impl CoeffCache {
-    /// An empty cache, bound to no summaries yet.
-    pub fn new() -> Self {
-        CoeffCache::default()
-    }
-
-    /// Number of cached coefficient tables.
-    pub fn len(&self) -> usize {
-        self.map
-            .load()
-            .entries
-            .values()
-            .map(|slots| slots.iter().flatten().count())
-            .sum()
-    }
-
-    /// Whether the cache holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Runs `mutate` on a copy of the current map under the writer lock
-    /// and publishes the result bound to generation `id`. The copy
-    /// starts from the current entries when the generation matches and
-    /// from empty otherwise (the rebind-clears contract).
-    fn publish<R>(&self, id: u64, mutate: impl FnOnce(&mut CoeffMap) -> R) -> R {
-        let locked = self.writer.lock(); // xlint: allow(lock-free-serving, "writer-side publication lock; get_or_build hits never acquire it")
-        let guard = match locked {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let cur = self.map.load();
-        let mut next = CoeffMap {
-            generation: id,
-            entries: if cur.generation == id {
-                cur.entries.clone()
-            } else {
-                HashMap::new()
-            },
-        };
-        let out = mutate(&mut next);
-        self.map.store(Arc::new(next));
-        drop(guard);
-        out
-    }
-
-    /// Returns the cached table for `(name, basis)` under `summaries`,
-    /// building and inserting it on a miss. Rebinds (and clears) the
-    /// cache when `summaries` is a different generation than the one
-    /// the cache was filled from.
-    pub fn get_or_build(
-        &self,
-        summaries: &Summaries,
-        name: &str,
-        basis: Basis,
-        build: impl FnOnce() -> JoinCoefficients,
-    ) -> Arc<JoinCoefficients> {
-        let id = summaries.build_id;
-        let slot = basis_slot(basis);
-        {
-            let cur = self.map.load();
-            if cur.generation == id {
-                if let Some(hit) = cur.entries.get(name).and_then(|slots| slots[slot].clone()) {
-                    return hit;
-                }
-            }
-        }
-        let built = Arc::new(build());
-        self.publish(id, |next| {
-            let entry = next.entries.entry(name.to_owned()).or_default();
-            entry[slot].get_or_insert(built).clone()
-        })
-    }
-
-    /// Snapshot of every cached table, `(predicate name, basis, table)`
-    /// in name order — the catalog layer persists these so a reopened
-    /// database skips even the first-query precomputation.
-    pub fn entries(&self) -> Vec<(String, Basis, Arc<JoinCoefficients>)> {
-        let map = self.map.load();
-        let mut out = Vec::new();
-        for (name, slots) in map.entries.iter() {
-            for (slot, table) in slots.iter().enumerate() {
-                if let Some(t) = table {
-                    let basis = if slot == 0 {
-                        Basis::AncestorBased
-                    } else {
-                        Basis::DescendantBased
-                    };
-                    out.push((name.clone(), basis, t.clone()));
-                }
-            }
-        }
-        out.sort_by(|a, b| (&a.0, basis_slot(a.1)).cmp(&(&b.0, basis_slot(b.1))));
-        out
-    }
-
-    /// Pre-fills the cache with a table loaded from a catalog, binding
-    /// the cache to `summaries`' generation. An already-present table for
-    /// the same key wins (both are identical by construction).
-    pub fn seed(&self, summaries: &Summaries, name: &str, table: Arc<JoinCoefficients>) {
-        let id = summaries.build_id;
-        let slot = basis_slot(table.basis());
-        self.publish(id, |next| {
-            next.entries.entry(name.to_owned()).or_default()[slot].get_or_insert(table);
-        });
-    }
-
-    /// Rebinds the cache from generation `from` to `to`'s generation,
-    /// carrying over exactly the entries `keep` approves — for callers
-    /// that can *prove* those tables are bit-identical under the new
-    /// summaries (a stable append or removal whose delta shard never
-    /// touched the predicate: the merged histogram the table was
-    /// computed from is unchanged, and the grid did not move). A cache
-    /// currently bound elsewhere is left alone; entries `keep` rejects
-    /// rebuild lazily on first use, exactly as after a plain rebind.
-    pub fn rebind_carrying(&self, from: u64, to: &Summaries, keep: impl Fn(&str) -> bool) {
-        let locked = self.writer.lock(); // xlint: allow(lock-free-serving, "writer-side publication lock; get_or_build hits never acquire it")
-        let guard = match locked {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let cur = self.map.load();
-        if cur.generation != from || from == to.build_id {
-            return;
-        }
-        let next = CoeffMap {
-            generation: to.build_id,
-            entries: cur
-                .entries
-                .iter()
-                .filter(|(name, _)| keep(name))
-                .map(|(name, slots)| (name.clone(), slots.clone()))
-                .collect(),
-        };
-        self.map.store(Arc::new(next));
-        drop(guard);
-    }
-}
-
-/// Read-only estimation interface over [`Summaries`], optionally backed
-/// by a [`CoeffCache`].
+/// Read-only estimation interface over [`Summaries`].
 #[derive(Debug, Clone, Copy)]
 pub struct Estimator<'a> {
     summaries: &'a Summaries,
-    cache: Option<&'a CoeffCache>,
 }
 
 /// Evaluation state of one (sub-)twig during arena-based estimation:
@@ -862,15 +664,6 @@ impl<'a> Estimator<'a> {
     /// The summaries this estimator answers from.
     pub fn summaries(&self) -> &'a Summaries {
         self.summaries
-    }
-
-    /// Attaches a coefficient cache; subsequent primitive joins against
-    /// base-predicate operands reuse precomputed tables.
-    pub fn with_cache(self, cache: &'a CoeffCache) -> Self {
-        Estimator {
-            cache: Some(cache),
-            ..self
-        }
     }
 
     fn summary(&self, name: &str) -> Result<&'a PredicateSummary> {
@@ -977,28 +770,14 @@ impl<'a> Estimator<'a> {
         None
     }
 
-    /// Total primitive pH-join estimate over two named predicates'
-    /// histograms, reusing cached coefficients when a cache is attached
-    /// (keyed by the *inner* operand — the one the coefficient table is
-    /// computed from).
+    /// Total primitive pH-join estimate over two predicates' histograms,
+    /// on the thread-local workspace's streaming kernel.
     fn primitive_total(
         &self,
-        anc_name: &str,
         anc: &PositionHistogram,
-        desc_name: &str,
         desc: &PositionHistogram,
         basis: Basis,
     ) -> Result<f64> {
-        let (inner_name, inner, outer) = match basis {
-            Basis::AncestorBased => (desc_name, desc, anc),
-            Basis::DescendantBased => (anc_name, anc, desc),
-        };
-        if let Some(cache) = self.cache {
-            let coeffs = cache.get_or_build(self.summaries, inner_name, basis, || {
-                JoinCoefficients::precompute(inner, basis)
-            });
-            return coeffs.apply_total(outer);
-        }
         TWIG_WS.with(|ws| ws.borrow_mut().join.ph_join_total(anc, desc, basis))
     }
 
@@ -1018,8 +797,8 @@ impl<'a> Estimator<'a> {
             let y = StatsView::leaf(&d.hist, None, d.no_overlap);
             let mut out = ws.take_slot();
             let res = match basis {
-                Basis::AncestorBased => ancestor_join_into(ws, x, y, None, &mut out),
-                Basis::DescendantBased => descendant_join_into(ws, x, y, None, &mut out),
+                Basis::AncestorBased => ancestor_join_into(ws, x, y, &mut out),
+                Basis::DescendantBased => descendant_join_into(ws, x, y, &mut out),
             };
             let value = res.map(|()| out.match_total());
             ws.put_slot(out);
@@ -1043,15 +822,14 @@ impl<'a> Estimator<'a> {
                     )
                 } else {
                     (
-                        self.primitive_total(anc, &a.hist, desc, &d.hist, Basis::AncestorBased)?,
+                        self.primitive_total(&a.hist, &d.hist, Basis::AncestorBased)?,
                         "primitive",
                     )
                 }
             }
-            EstimateMethod::Primitive(basis) => (
-                self.primitive_total(anc, &a.hist, desc, &d.hist, basis)?,
-                "primitive",
-            ),
+            EstimateMethod::Primitive(basis) => {
+                (self.primitive_total(&a.hist, &d.hist, basis)?, "primitive")
+            }
             EstimateMethod::NoOverlap(basis) => {
                 if a.cvg.is_none() {
                     return Err(Error::MissingCoverage(anc.to_owned()));
@@ -1136,15 +914,8 @@ impl<'a> Estimator<'a> {
                     return Err(e);
                 }
             };
-            let cached = self.cached_child_coeffs(child);
             let mut out = ws.take_slot();
-            let res = ancestor_join_into(
-                ws,
-                acc.view(),
-                child_stats.view(),
-                cached.as_deref(),
-                &mut out,
-            );
+            let res = ancestor_join_into(ws, acc.view(), child_stats.view(), &mut out);
             let acc_base = acc.cvg_base();
             child_stats.release(ws);
             acc.release(ws);
@@ -1190,26 +961,6 @@ impl<'a> Estimator<'a> {
                 })
             }
         }
-    }
-
-    /// Cached ancestor-based coefficient table for a join whose
-    /// descendant side is `child`. Only valid — and only looked up —
-    /// when `child` is a leaf over a named summary, where its match
-    /// histogram equals its base histogram (unit join factors).
-    fn cached_child_coeffs(&self, child: &TwigNode) -> Option<Arc<JoinCoefficients>> {
-        let cache = self.cache?;
-        if !child.children.is_empty() {
-            return None;
-        }
-        let PredExpr::Named(name) = &child.pred else {
-            return None;
-        };
-        let s = self.summaries.get(name)?;
-        Some(
-            cache.get_or_build(self.summaries, name, Basis::AncestorBased, || {
-                JoinCoefficients::precompute(&s.hist, Basis::AncestorBased)
-            }),
-        )
     }
 
     /// Naive product over every node of a twig.

@@ -63,10 +63,10 @@ pub mod twig;
 pub use catalog::{CatalogFile, CatalogShard, OpenReport, QuarantinedShard};
 pub use coverage::{CoverageContext, CoverageHistogram};
 pub use error::{Error, Result};
-pub use estimator::{CoeffCache, Estimate, EstimateMethod, Estimator, Summaries, SummaryConfig};
+pub use estimator::{Estimate, EstimateMethod, Estimator, Summaries, SummaryConfig};
 pub use grid::{Cell, Grid};
 pub use no_overlap::{CoverageRef, NodeStats, StatsSlot, StatsView, TwigWorkspace};
-pub use ph_join::{ph_join, ph_join_total, Basis, JoinCoefficients, JoinWorkspace};
+pub use ph_join::{ph_join, ph_join_total, Basis, JoinWorkspace};
 pub use position_histogram::{FlatHistogram, PositionHistogram};
 pub use regrid::{DriftTracker, GridPolicy};
 pub use store::{

@@ -73,7 +73,7 @@
 use crate::coverage::CoverageHistogram;
 use crate::error::{Error, Result};
 use crate::grid::{Cell, Grid};
-use crate::ph_join::{Basis, JoinCoefficients, JoinWorkspace};
+use crate::ph_join::{Basis, JoinWorkspace};
 use crate::position_histogram::PositionHistogram;
 
 /// Estimation state for one pattern node (see module docs).
@@ -533,41 +533,34 @@ fn merge_overlay(prev: &[(Cell, f64)], updates: &[(Cell, f64)], out: &mut Vec<(C
 /// Uses the no-overlap formulas when `x` is no-overlap and has coverage;
 /// otherwise the primitive pH-join ("case 1": participation = estimate).
 pub fn ancestor_join(x: &NodeStats, y: &NodeStats) -> Result<NodeStats> {
-    ancestor_join_with(&mut TwigWorkspace::new(), x, y, None)
+    ancestor_join_with(&mut TwigWorkspace::new(), x, y)
 }
 
-/// [`ancestor_join`] with reused scratch buffers and an optional
-/// precomputed coefficient table for the primitive fallback. The table
-/// must have been computed from `y`'s match histogram with
-/// [`Basis::AncestorBased`] — callers pass it only when `y` is a leaf
-/// over a base predicate, where `match_hist == hist` holds.
+/// [`ancestor_join`] with reused scratch buffers.
 pub fn ancestor_join_with(
     ws: &mut TwigWorkspace,
     x: &NodeStats,
     y: &NodeStats,
-    cached: Option<&JoinCoefficients>,
 ) -> Result<NodeStats> {
     let mut out = StatsSlot::default();
-    ancestor_join_into(ws, x.view(), y.view(), cached, &mut out)?;
+    ancestor_join_into(ws, x.view(), y.view(), &mut out)?;
     Ok(out.into_node_stats(x.cvg.as_ref()))
 }
 
 /// Joins pattern `x` (ancestor side) with pattern `y` (descendant side),
 /// producing stats for the combined pattern *based at `y`'s node*.
 pub fn descendant_join(x: &NodeStats, y: &NodeStats) -> Result<NodeStats> {
-    descendant_join_with(&mut TwigWorkspace::new(), x, y, None)
+    descendant_join_with(&mut TwigWorkspace::new(), x, y)
 }
 
-/// [`descendant_join`] with reused scratch buffers; `cached` must stem
-/// from `x`'s match histogram with [`Basis::DescendantBased`].
+/// [`descendant_join`] with reused scratch buffers.
 pub fn descendant_join_with(
     ws: &mut TwigWorkspace,
     x: &NodeStats,
     y: &NodeStats,
-    cached: Option<&JoinCoefficients>,
 ) -> Result<NodeStats> {
     let mut out = StatsSlot::default();
-    descendant_join_into(ws, x.view(), y.view(), cached, &mut out)?;
+    descendant_join_into(ws, x.view(), y.view(), &mut out)?;
     Ok(out.into_node_stats(y.cvg.as_ref()))
 }
 
@@ -579,12 +572,11 @@ pub fn ancestor_join_into(
     ws: &mut TwigWorkspace,
     x: StatsView,
     y: StatsView,
-    cached: Option<&JoinCoefficients>,
     out: &mut StatsSlot,
 ) -> Result<()> {
     match (x.cvg, x.no_overlap) {
         (Some(cvg), true) => ancestor_merge_kernel(&mut ws.cvg, x, y, cvg, out),
-        _ => primitive_join_into(ws, x, y, Basis::AncestorBased, cached, out),
+        _ => primitive_join_into(ws, x, y, Basis::AncestorBased, out),
     }
 }
 
@@ -594,12 +586,11 @@ pub fn descendant_join_into(
     ws: &mut TwigWorkspace,
     x: StatsView,
     y: StatsView,
-    cached: Option<&JoinCoefficients>,
     out: &mut StatsSlot,
 ) -> Result<()> {
     match (x.cvg, x.no_overlap) {
         (Some(cvg), true) => descendant_merge_kernel(&mut ws.cvg, x, y, cvg, out),
-        _ => primitive_join_into(ws, x, y, Basis::DescendantBased, cached, out),
+        _ => primitive_join_into(ws, x, y, Basis::DescendantBased, out),
     }
 }
 
@@ -854,7 +845,6 @@ fn primitive_join_into(
     x: StatsView,
     y: StatsView,
     basis: Basis,
-    cached: Option<&JoinCoefficients>,
     out: &mut StatsSlot,
 ) -> Result<()> {
     let TwigWorkspace {
@@ -863,23 +853,9 @@ fn primitive_join_into(
         match_y,
         ..
     } = ws;
-    match cached {
-        Some(coeffs) => {
-            // The coefficient table already encodes the inner operand;
-            // only the outer match histogram is needed.
-            let outer = match basis {
-                Basis::AncestorBased => x,
-                Basis::DescendantBased => y,
-            };
-            view_match_into(outer, match_x);
-            coeffs.apply_into(match_x, &mut out.hist)?;
-        }
-        None => {
-            view_match_into(x, match_x);
-            view_match_into(y, match_y);
-            join.ph_join_into(match_x, match_y, basis, &mut out.hist)?;
-        }
-    }
+    view_match_into(x, match_x);
+    view_match_into(y, match_y);
+    join.ph_join_into(match_x, match_y, basis, &mut out.hist)?;
     // When based at the descendant and the descendant is no-overlap, its
     // coverage could still serve later joins, scaled by participation.
     // With participation = estimate there is no meaningful ratio; drop
@@ -1237,23 +1213,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_coefficients_match_direct_primitive_join() {
-        let grid = Grid::uniform(4, 30).unwrap();
-        let fac = NodeStats::leaf(
-            PositionHistogram::from_intervals(grid, &[iv(1, 3), iv(6, 11), iv(17, 23)]),
-            None,
-            false,
-        );
-        let ta = ta_stats(4);
-        let mut ws = TwigWorkspace::new();
-        let direct = ancestor_join_with(&mut ws, &fac, &ta, None).unwrap();
-        let coeffs = JoinCoefficients::precompute(&ta.hist, Basis::AncestorBased);
-        let cached = ancestor_join_with(&mut ws, &fac, &ta, Some(&coeffs)).unwrap();
-        assert_eq!(direct.hist, cached.hist);
-        assert!((direct.match_total() - cached.match_total()).abs() < 1e-12);
-    }
-
-    #[test]
     fn chained_joins_keep_coverage_scaled() {
         // faculty // TA, then the result joined with RA descendants:
         // participation of faculty shrinks after the first join, and the
@@ -1316,10 +1275,10 @@ mod tests {
         let mut ws = TwigWorkspace::new();
         let mut s1 = ws.take_slot();
         let x = StatsView::leaf(&fac.hist, fac.cvg.as_ref(), true);
-        ancestor_join_into(&mut ws, x, ta.view(), None, &mut s1).unwrap();
+        ancestor_join_into(&mut ws, x, ta.view(), &mut s1).unwrap();
         let mut s2 = ws.take_slot();
         let x2 = s1.view(fac.cvg.as_ref());
-        ancestor_join_into(&mut ws, x2, ra.view(), None, &mut s2).unwrap();
+        ancestor_join_into(&mut ws, x2, ra.view(), &mut s2).unwrap();
         assert!((s1.match_total() - owned1.match_total()).abs() < 1e-9);
         assert!((s2.match_total() - owned2.match_total()).abs() < 1e-9);
         assert_eq!(s2.hist().non_zero_cells(), owned2.hist.non_zero_cells());

@@ -17,10 +17,11 @@
 //! Both the **ancestor-based** and **descendant-based** variants are
 //! implemented, each in two forms: the three-pass partial-sum algorithm of
 //! Fig. 9 (O(g²) total work) and a direct region-sum reference (O(g⁴))
-//! used to cross-validate it. [`JoinCoefficients`] additionally implements
-//! the paper's space–time tradeoff: precompute per-cell coefficients from
-//! the inner operand once, after which each join costs only the O(g)
-//! non-zero cells of the outer operand.
+//! used to cross-validate it. Section 3.3's space–time tradeoff
+//! (precomputing per-cell coefficients from the inner operand) is not
+//! implemented: the sweep evaluates coefficients only at the outer
+//! operand's non-zero cells, and on the served query mix a memoized
+//! table cost more per estimate than the sweep itself.
 //!
 //! ## Allocation discipline and working set
 //!
@@ -78,25 +79,10 @@ pub struct JoinWorkspace {
     colsum: Vec<f64>,
     /// Inner diagonal cells `b[i][i]` (the half-weighted border terms).
     diag: Vec<f64>,
-    /// The outer cells of the row being processed (copied so the same
-    /// monomorphic sweep serves both sparse joins and dense
-    /// precomputation).
-    row_buf: Vec<(u16, f64)>,
     /// Staged `(cell, value)` output pairs, in sweep order.
     staged: Vec<(Cell, f64)>,
     /// Per swept row, the staged range it produced.
     spans: Vec<(u32, u32)>,
-}
-
-/// Where the sweep's outer cells come from: a real outer operand (joins
-/// evaluate coefficients lazily at its non-zero cells only) or every
-/// upper-triangular cell with weight 1.0 (coefficient precomputation —
-/// identical accumulator sequences, so the materialized table is
-/// bit-identical to lazy evaluation).
-#[derive(Clone, Copy)]
-enum OuterCells<'a> {
-    Flat(&'a crate::position_histogram::FlatHistogram),
-    DenseOnes,
 }
 
 impl JoinWorkspace {
@@ -105,15 +91,16 @@ impl JoinWorkspace {
         JoinWorkspace::default()
     }
 
-    /// One full sweep: stages `v · coeff(i, j)` for every requested
-    /// outer cell with a non-zero coefficient, recording per-row spans.
-    /// The coefficient algebra matches Fig. 9's three-pass formulas
-    /// term by term (see the module docs); only the *grouping* of the
-    /// interior sum differs, which cross-validation tests cover with
-    /// tolerances.
-    fn sweep(&mut self, inner: &PositionHistogram, basis: Basis, outer: OuterCells<'_>) {
+    /// One full sweep: stages `v · coeff(i, j)` for every outer cell
+    /// with a non-zero coefficient, recording per-row spans. The sweep
+    /// reads each outer CSR row in place. The coefficient algebra
+    /// matches Fig. 9's three-pass formulas term by term (see the module
+    /// docs); only the *grouping* of the interior sum differs, which
+    /// cross-validation tests cover with tolerances.
+    fn sweep(&mut self, inner: &PositionHistogram, outer: &PositionHistogram, basis: Basis) {
         let g = inner.grid().g() as usize;
         let flat = inner.flat();
+        let outer = outer.flat();
         self.colsum.clear();
         self.colsum.resize(g, 0.0);
         self.diag.clear();
@@ -128,22 +115,10 @@ impl JoinWorkspace {
         self.staged.clear();
         self.spans.clear();
 
-        // Dense precomputation never materializes the all-ones rows:
-        // the fused loops below iterate the columns directly, running
-        // the identical accumulator sequence (`v = 1.0`, and IEEE 754
-        // guarantees `1.0 * c` is bitwise `c` for every finite `c`), so
-        // the staged output is bit-identical to the generic path while
-        // skipping the O(g) row-buffer fill + re-read per row.
-        if let OuterCells::DenseOnes = outer {
-            self.sweep_dense_ones(flat, basis, g);
-            return;
-        }
-
         match basis {
             // Descending sweep: colsum accumulates the rows *below* i.
             Basis::AncestorBased => {
                 for i in (0..g).rev() {
-                    self.fill_row_buf(outer, i, g);
                     let row_inner = flat.row(i as u16);
                     let start = self.staged.len() as u32;
                     // Running prefixes, advanced monotonically as j
@@ -153,8 +128,7 @@ impl JoinWorkspace {
                     let mut n_ptr = 0usize;
                     let mut r_acc = 0.0;
                     let mut cur = 0usize;
-                    for k in 0..self.row_buf.len() {
-                        let (j, v) = self.row_buf[k];
+                    for &((_, j), v) in outer.row(i as u16) {
                         let ju = j as usize;
                         while n_ptr < ju {
                             n_acc += self.colsum[n_ptr];
@@ -190,7 +164,6 @@ impl JoinWorkspace {
             // running accumulators.
             Basis::DescendantBased => {
                 for i in 0..g {
-                    self.fill_row_buf(outer, i, g);
                     let row_inner = flat.row(i as u16);
                     let start = self.staged.len() as u32;
                     // `s_acc = Σ_{n>j} colsum[n]` (region G) and
@@ -200,8 +173,7 @@ impl JoinWorkspace {
                     let mut s_ptr = g;
                     let mut f_acc = 0.0;
                     let mut r = row_inner.len();
-                    for k in (0..self.row_buf.len()).rev() {
-                        let (j, v) = self.row_buf[k];
+                    for &((_, j), v) in outer.row(i as u16).iter().rev() {
                         let ju = j as usize;
                         while s_ptr > ju + 1 {
                             s_ptr -= 1;
@@ -228,107 +200,6 @@ impl JoinWorkspace {
                     }
                 }
             }
-        }
-    }
-
-    /// The [`OuterCells::DenseOnes`] specialization of [`Self::sweep`]:
-    /// every upper-triangular cell at weight 1.0, with the column index
-    /// iterated directly instead of staged through `row_buf`. Because
-    /// consecutive columns differ by exactly one, each inner `while`
-    /// still advances its accumulator through the identical sequence of
-    /// additions the generic path performs — the emitted coefficients
-    /// are bit-identical (pinned by `dense_sweep_matches_generic`).
-    fn sweep_dense_ones(
-        &mut self,
-        flat: &crate::position_histogram::FlatHistogram,
-        basis: Basis,
-        g: usize,
-    ) {
-        match basis {
-            Basis::AncestorBased => {
-                for i in (0..g).rev() {
-                    let row_inner = flat.row(i as u16);
-                    let start = self.staged.len() as u32;
-                    let mut n_acc = 0.0;
-                    let mut n_ptr = 0usize;
-                    let mut r_acc = 0.0;
-                    let mut cur = 0usize;
-                    for ju in i..g {
-                        while n_ptr < ju {
-                            n_acc += self.colsum[n_ptr];
-                            n_ptr += 1;
-                        }
-                        while cur < row_inner.len() && (row_inner[cur].0 .1 as usize) < ju {
-                            r_acc += row_inner[cur].1;
-                            cur += 1;
-                        }
-                        let bij = if cur < row_inner.len() && row_inner[cur].0 .1 as usize == ju {
-                            row_inner[cur].1
-                        } else {
-                            0.0
-                        };
-                        let c = if i == ju {
-                            self.diag[i] / 12.0
-                        } else {
-                            n_acc + bij / 4.0 + r_acc - self.diag[i] / 2.0 + self.colsum[ju]
-                                - self.diag[ju] / 2.0
-                        };
-                        if c != 0.0 {
-                            self.staged.push(((i as u16, ju as u16), c));
-                        }
-                    }
-                    self.spans.push((start, self.staged.len() as u32));
-                    for &((_, n), v) in row_inner {
-                        self.colsum[n as usize] += v;
-                    }
-                }
-            }
-            Basis::DescendantBased => {
-                for i in 0..g {
-                    let row_inner = flat.row(i as u16);
-                    let start = self.staged.len() as u32;
-                    let mut s_acc = 0.0;
-                    let mut s_ptr = g;
-                    let mut f_acc = 0.0;
-                    let mut r = row_inner.len();
-                    for ju in (i..g).rev() {
-                        while s_ptr > ju + 1 {
-                            s_ptr -= 1;
-                            s_acc += self.colsum[s_ptr];
-                        }
-                        while r > 0 && (row_inner[r - 1].0 .1 as usize) > ju {
-                            r -= 1;
-                            f_acc += row_inner[r].1;
-                        }
-                        let bij = if r > 0 && row_inner[r - 1].0 .1 as usize == ju {
-                            row_inner[r - 1].1
-                        } else {
-                            0.0
-                        };
-                        let self_factor = if i == ju { 1.0 / 12.0 } else { 0.25 };
-                        let c = f_acc + self.colsum[ju] + s_acc + self_factor * bij;
-                        if c != 0.0 {
-                            self.staged.push(((i as u16, ju as u16), c));
-                        }
-                    }
-                    self.spans.push((start, self.staged.len() as u32));
-                    for &((_, n), v) in row_inner {
-                        self.colsum[n as usize] += v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Copies row `i`'s outer cells into `row_buf` in ascending column
-    /// order (reused capacity; no steady-state allocation).
-    fn fill_row_buf(&mut self, outer: OuterCells<'_>, i: usize, g: usize) {
-        self.row_buf.clear();
-        match outer {
-            OuterCells::Flat(flat) => self
-                .row_buf
-                .extend(flat.row(i as u16).iter().map(|&((_, j), v)| (j, v))),
-            OuterCells::DenseOnes => self.row_buf.extend((i..g).map(|j| (j as u16, 1.0))),
         }
     }
 
@@ -372,7 +243,7 @@ impl JoinWorkspace {
             Basis::AncestorBased => (desc, anc),
             Basis::DescendantBased => (anc, desc),
         };
-        self.sweep(inner, basis, OuterCells::Flat(outer.flat()));
+        self.sweep(inner, outer, basis);
         out.clear_to(outer.grid());
         self.emit(basis, |cell, v| out.push_sorted(cell, v));
         Ok(())
@@ -394,7 +265,7 @@ impl JoinWorkspace {
             Basis::AncestorBased => (desc, anc),
             Basis::DescendantBased => (anc, desc),
         };
-        self.sweep(inner, basis, OuterCells::Flat(outer.flat()));
+        self.sweep(inner, outer, basis);
         let mut total = 0.0;
         self.emit(basis, |_, v| total += v);
         Ok(total)
@@ -422,147 +293,6 @@ pub fn ph_join_total(
     basis: Basis,
 ) -> Result<f64> {
     JoinWorkspace::new().ph_join_total(anc, desc, basis)
-}
-
-/// Precomputed multiplicative coefficients (Section 3.3: "it is possible
-/// to run the algorithm on each position histogram matrix in advance").
-///
-/// For [`Basis::AncestorBased`] the inner operand is the *descendant*
-/// histogram and `coeff[(i, j)]` is the expected number of its nodes
-/// joining one ancestor-cell `(i, j)` node; vice versa for
-/// [`Basis::DescendantBased`].
-///
-/// Storage is **CSR**, the same flat sorted-entry layout the position
-/// histograms use ([`crate::FlatHistogram`]): only non-zero coefficients
-/// are kept, in row-major cell order. `apply`/`apply_total` run as a
-/// single two-cursor merge between the outer operand's entries and the
-/// coefficient entries (both row-major sorted), so the per-join cost is
-/// O(non-zero cells) with no `g²` table walks — and the table's memory
-/// matches the histogram it was computed from instead of a dense `g²`
-/// block (the ROADMAP's "coefficients could go CSR" frontier).
-#[derive(Debug, Clone)]
-pub struct JoinCoefficients {
-    grid: crate::grid::Grid,
-    basis: Basis,
-    /// Non-zero coefficients, row-major sorted (CSR with inline columns).
-    coeff: crate::position_histogram::FlatHistogram,
-}
-
-impl JoinCoefficients {
-    /// Three-pass partial-sum computation (Fig. 9), generalized to both
-    /// bases.
-    pub fn precompute(inner: &PositionHistogram, basis: Basis) -> Self {
-        Self::precompute_in(&mut JoinWorkspace::new(), inner, basis)
-    }
-
-    /// Like [`Self::precompute`], borrowing scratch space from a
-    /// workspace; only the owned coefficient table is allocated. Runs
-    /// the same streaming sweep as the lazy join path with every
-    /// upper-triangular cell requested at weight 1.0, so the stored
-    /// coefficients are bit-identical to lazy evaluation.
-    pub fn precompute_in(ws: &mut JoinWorkspace, inner: &PositionHistogram, basis: Basis) -> Self {
-        let g = inner.grid().g();
-        ws.sweep(inner, basis, OuterCells::DenseOnes);
-        let mut coeff = crate::position_histogram::FlatHistogram::new(g);
-        ws.emit(basis, |cell, c| coeff.push(cell, c));
-        JoinCoefficients {
-            grid: inner.grid().clone(),
-            basis,
-            coeff,
-        }
-    }
-
-    /// Applies the coefficients to the outer operand. Runs in time
-    /// proportional to the outer histogram's non-zero cells — O(g) by
-    /// Theorem 1 (this is the paper's "O(g) per join" claim).
-    pub fn apply(&self, outer: &PositionHistogram) -> Result<PositionHistogram> {
-        let mut out = PositionHistogram::empty(self.grid.clone());
-        self.apply_into(outer, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::apply`] into a reused output histogram (allocation-free
-    /// once `out` has capacity): one merge pass over the two sorted
-    /// entry runs.
-    pub fn apply_into(&self, outer: &PositionHistogram, out: &mut PositionHistogram) -> Result<()> {
-        if outer.grid() != &self.grid {
-            return Err(Error::GridMismatch);
-        }
-        out.clear_to(&self.grid);
-        let coeffs = self.coeff.entries();
-        let mut c = 0usize;
-        for &(cell, v) in outer.flat().entries() {
-            while c < coeffs.len() && coeffs[c].0 < cell {
-                c += 1;
-            }
-            if c < coeffs.len() && coeffs[c].0 == cell {
-                out.push_sorted(cell, v * coeffs[c].1);
-            }
-        }
-        Ok(())
-    }
-
-    /// Total estimate for `outer` without materializing per-cell output.
-    pub fn apply_total(&self, outer: &PositionHistogram) -> Result<f64> {
-        if outer.grid() != &self.grid {
-            return Err(Error::GridMismatch);
-        }
-        let coeffs = self.coeff.entries();
-        let mut c = 0usize;
-        let mut total = 0.0;
-        for &(cell, v) in outer.flat().entries() {
-            while c < coeffs.len() && coeffs[c].0 < cell {
-                c += 1;
-            }
-            if c < coeffs.len() && coeffs[c].0 == cell {
-                total += v * coeffs[c].1;
-            }
-        }
-        Ok(total)
-    }
-
-    /// Coefficient for a single cell (zero when not stored).
-    pub fn get(&self, cell: Cell) -> f64 {
-        self.coeff.get(cell)
-    }
-
-    /// The join basis these coefficients were assembled for.
-    pub fn basis(&self) -> Basis {
-        self.basis
-    }
-
-    /// The grid the table was computed on.
-    pub fn grid(&self) -> &crate::grid::Grid {
-        &self.grid
-    }
-
-    /// Non-zero coefficient entries in row-major cell order — the direct
-    /// input to the catalog's CSR serialization.
-    pub fn entries(&self) -> &[(Cell, f64)] {
-        self.coeff.entries()
-    }
-
-    /// Reconstructs a table from persisted sparse entries (must arrive
-    /// strictly row-major sorted with valid upper-triangular cells; the
-    /// caller — [`crate::catalog`] — validates both).
-    pub(crate) fn from_sorted_entries(
-        grid: crate::grid::Grid,
-        basis: Basis,
-        entries: &[(Cell, f64)],
-    ) -> Self {
-        let mut coeff = crate::position_histogram::FlatHistogram::new(grid.g());
-        for &(cell, v) in entries {
-            coeff.push(cell, v);
-        }
-        JoinCoefficients { grid, basis, coeff }
-    }
-
-    /// Extra storage the precomputation costs — with CSR entries this is
-    /// now exactly the histogram accounting of Fig. 11 ("approximately
-    /// equal to that of the original position histogram").
-    pub fn storage_bytes(&self) -> usize {
-        self.coeff.len() * crate::position_histogram::BYTES_PER_CELL
-    }
 }
 
 /// Direct region-sum implementation of Fig. 6 — O(g⁴), used only to
@@ -755,76 +485,6 @@ mod tests {
         assert_eq!(est, 0.0);
         let est = ph_join_total(&anc, &desc, Basis::DescendantBased).unwrap();
         assert_eq!(est, 0.0);
-    }
-
-    #[test]
-    fn precomputed_coefficients_reusable() {
-        let (f, t) = fig1_histograms(4);
-        let coeffs = JoinCoefficients::precompute(&t, Basis::AncestorBased);
-        assert_eq!(coeffs.basis(), Basis::AncestorBased);
-        let est1 = coeffs.apply(&f).unwrap();
-        let est2 = ph_join(&f, &t, Basis::AncestorBased).unwrap();
-        assert_eq!(est1, est2);
-        assert!(coeffs.storage_bytes() > 0);
-        // Reuse with a different outer operand.
-        let f2 = f.scaled_by(|_| 3.0);
-        let est3 = coeffs.apply(&f2).unwrap();
-        assert!((est3.total() - 3.0 * est1.total()).abs() < 1e-9);
-        // apply_total agrees with the materialized sum.
-        assert!((coeffs.apply_total(&f).unwrap() - est1.total()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn precompute_in_shares_scratch() {
-        let (f, t) = fig1_histograms(6);
-        let mut ws = JoinWorkspace::new();
-        let a = JoinCoefficients::precompute_in(&mut ws, &t, Basis::AncestorBased);
-        let b = JoinCoefficients::precompute(&t, Basis::AncestorBased);
-        assert_eq!(a.coeff, b.coeff);
-        assert_eq!(a.apply(&f).unwrap(), b.apply(&f).unwrap());
-    }
-
-    #[test]
-    fn dense_sweep_matches_generic() {
-        // The fused DenseOnes sweep must stage bit-identical output to
-        // the generic path fed an explicitly materialized all-ones
-        // upper-triangular outer histogram — same cells, same spans,
-        // same f64 bit patterns (the invariant `precompute_in` relies
-        // on for coefficient-table sharing across snapshots).
-        for requested in [1u16, 2, 5, 9] {
-            let (_, inner) = fig1_histograms(requested);
-            // `Grid::uniform` may shrink g (ceil-width rounding), so size
-            // the all-ones histogram from the grid actually built.
-            let g = inner.grid().g();
-            let mut ones = crate::position_histogram::FlatHistogram::new(g);
-            for i in 0..g {
-                for j in i..g {
-                    ones.push((i, j), 1.0);
-                }
-            }
-            for basis in [Basis::AncestorBased, Basis::DescendantBased] {
-                let mut dense_ws = JoinWorkspace::new();
-                dense_ws.sweep(&inner, basis, OuterCells::DenseOnes);
-                let mut generic_ws = JoinWorkspace::new();
-                generic_ws.sweep(&inner, basis, OuterCells::Flat(&ones));
-                assert_eq!(dense_ws.spans, generic_ws.spans, "g={g} {basis:?}");
-                assert_eq!(
-                    dense_ws.staged.len(),
-                    generic_ws.staged.len(),
-                    "g={g} {basis:?}"
-                );
-                for (&(cell, dv), &(cell2, gv)) in
-                    dense_ws.staged.iter().zip(generic_ws.staged.iter())
-                {
-                    assert_eq!(cell, cell2, "g={g} {basis:?}");
-                    assert_eq!(
-                        dv.to_bits(),
-                        gv.to_bits(),
-                        "g={g} {basis:?} cell {cell:?}: {dv} vs {gv}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

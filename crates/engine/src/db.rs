@@ -13,20 +13,18 @@
 //!   re-merge from the stored classified lists — they never re-parse or
 //!   re-classify the rest of the collection.
 //! * **Serving layer** — the estimator over the merged summaries, the
-//!   shared [`CoeffCache`], the prepared-query cache (repeated queries
-//!   hit a canonical [`crate::prepared::PreparedQuery`] carrying the
-//!   parsed twig, leaf resolutions and the memoized plan), and the
-//!   published [`Snapshot`] every estimate runs on.
+//!   prepared-query cache (repeated queries hit a canonical
+//!   [`crate::prepared::PreparedQuery`] carrying the parsed twig, leaf
+//!   resolutions and the memoized plan), and the published [`Snapshot`]
+//!   every estimate runs on.
 //!
-//! Every state a cache can derive from — summaries, grid, coefficient
-//! tables, plans — is versioned by the database **epoch**: a
-//! monotonically increasing counter bumped by every collection mutation
+//! Every state a cache can derive from — summaries, grid, plans — is
+//! versioned by the database **epoch**: a monotonically increasing
+//! counter bumped by every collection mutation
 //! ([`Database::add_document`], [`Database::remove_document`]) and by
 //! [`Database::attach_dtd`] (which changes estimates in place). Cached
 //! plans and prepared state carry the epoch they were derived under and
-//! are transparently re-prepared on mismatch; coefficient tables bind to
-//! the summaries generation ([`CoeffCache`]'s build id), which changes
-//! exactly when the epoch-relevant summary state does.
+//! are transparently re-prepared on mismatch.
 //!
 //! [`PositionHistogram::plus`]: xmlest_core::PositionHistogram::plus
 
@@ -48,9 +46,7 @@ use xmlest_core::shard::{
     DocumentSummaryInput, MergeState,
 };
 use xmlest_core::store::{CatalogStore, SkippedGeneration};
-use xmlest_core::{
-    CoeffCache, DriftTracker, Estimate, Estimator, Grid, Summaries, SummaryConfig, TwigNode,
-};
+use xmlest_core::{DriftTracker, Estimate, Grid, Summaries, SummaryConfig, TwigNode};
 use xmlest_predicate::{BasePredicate, Catalog, PredExpr};
 use xmlest_query::structural::Item;
 use xmlest_query::{count_matches, parse_path};
@@ -283,14 +279,6 @@ pub struct Database {
     /// `remove_document` down to zero then `add_document` works.
     collection: bool,
     index: ElementIndex,
-    /// Memoized pH-join coefficient tables over `summaries`. Summaries
-    /// are immutable between collection changes; every estimator handed
-    /// out by [`Database::estimator`] shares this cache, and
-    /// [`Database::save_catalog`] persists its tables. `Arc`d for the
-    /// same reason as `summaries`: published snapshots share it (the
-    /// cache is internally wait-free on hits and binds tables to the
-    /// summaries generation, so sharing across epochs is safe).
-    coeff_cache: Arc<CoeffCache>,
     /// Monotonic version of everything estimates derive from. Bumped by
     /// collection mutations and [`Database::attach_dtd`]; prepared
     /// queries and their memoized plans validate against it.
@@ -369,7 +357,6 @@ struct AppendUndo {
 fn initial_serving(
     degraded: bool,
     summaries: &Arc<Summaries>,
-    coeffs: &Arc<CoeffCache>,
     obs: &Recorder,
     metrics: &Metrics,
 ) -> Arc<SnapshotCell> {
@@ -377,7 +364,6 @@ fn initial_serving(
         1,
         degraded,
         summaries.clone(),
-        coeffs.clone(),
         Arc::default(),
         obs.clone(),
         metrics.clone(),
@@ -481,10 +467,9 @@ impl Database {
         let summaries = Arc::new(Summaries::build(&tree, &catalog, config)?);
         let index = ElementIndex::build(&tree, &catalog);
         let maintenance = MaintenanceState::new(summaries.grid().g());
-        let coeff_cache = Arc::new(CoeffCache::new());
         let obs = Recorder::new();
         let metrics = Metrics::register(&obs);
-        let serving = initial_serving(false, &summaries, &coeff_cache, &obs, &metrics);
+        let serving = initial_serving(false, &summaries, &obs, &metrics);
         Ok(Database {
             tree: Some(tree),
             catalog,
@@ -493,7 +478,6 @@ impl Database {
             shards: Vec::new(),
             collection: false,
             index,
-            coeff_cache,
             epoch: 1,
             prepared: PreparedCache::with_recorder(crate::prepared::PREPARED_CACHE_CAP, &obs),
             maintenance,
@@ -590,10 +574,9 @@ impl Database {
             .collect();
         let index = ElementIndex::build_sharded(&tree, &catalog, &shards);
         let summaries = Arc::new(derived.merged);
-        let coeff_cache = Arc::new(CoeffCache::new());
         let obs = Recorder::new();
         let metrics = Metrics::register(&obs);
-        let serving = initial_serving(false, &summaries, &coeff_cache, &obs, &metrics);
+        let serving = initial_serving(false, &summaries, &obs, &metrics);
         Ok(Database {
             tree: Some(tree),
             catalog,
@@ -602,7 +585,6 @@ impl Database {
             shards,
             collection: true,
             index,
-            coeff_cache,
             epoch: 1,
             prepared: PreparedCache::with_recorder(crate::prepared::PREPARED_CACHE_CAP, &obs),
             maintenance: MaintenanceState::with_tracker(derived.tracker),
@@ -640,8 +622,8 @@ impl Database {
     /// mega-tree. Only then does it commit: shards take their new
     /// offsets and summaries; the merged view, fold state and drift
     /// tracker are replaced; the element index re-derives from the new
-    /// mega-tree; coefficient tables restart empty and the undo stack
-    /// clears, since both belong to the old grid. The epoch bumps and
+    /// mega-tree; the undo stack clears, since it belongs to the old
+    /// grid. The epoch bumps and
     /// the successor snapshot publishes. The prepared cache, counters,
     /// serving cell and recorder carry over untouched.
     ///
@@ -697,7 +679,6 @@ impl Database {
         self.merge_state = Some(derived.state);
         self.maintenance.tracker = derived.tracker;
         self.undo.clear();
-        self.coeff_cache = Arc::new(CoeffCache::new());
         self.epoch += 1;
         self.publish_snapshot();
         Ok(())
@@ -836,7 +817,6 @@ impl Database {
             .tracker
             .ingest_document(&grid, &self.catalog, &input, offset);
         self.maintenance.counters.stable_appends += 1;
-        let old_generation = self.summaries.generation();
         // The outgoing serving state is exactly what a removal of this
         // document must restore: move it onto the undo stack.
         let undo = AppendUndo {
@@ -859,19 +839,6 @@ impl Database {
             }),
         });
         self.epoch += 1;
-        // Coefficient tables are pure functions of (predicate position
-        // histogram, grid); the grid did not move, and any predicate the
-        // new shard contributed zero mass to has a bit-identical merged
-        // histogram — its tables carry to the new generation unchanged.
-        let added = &self
-            .shards
-            .last()
-            .expect("shard pushed above") // xlint: allow(no-panic, "the new shard was pushed immediately above")
-            .summaries;
-        self.coeff_cache
-            .rebind_carrying(old_generation, &self.summaries, |name| {
-                added.get(name).is_none_or(|p| p.count == 0)
-            });
         self.publish_snapshot();
         Ok(())
     }
@@ -987,7 +954,6 @@ impl Database {
             .tracker
             .retract_document(&grid, &self.catalog, &src.input, offset);
         self.maintenance.counters.stable_removes += 1;
-        let old_generation = self.summaries.generation();
         if let Some((merged, merge_state)) = remerged {
             self.summaries = Arc::new(merged);
             self.merge_state = Some(merge_state);
@@ -997,13 +963,6 @@ impl Database {
             self.merge_state = u.merge_state;
         }
         self.epoch += 1;
-        // Mirror of the append carry: predicates the removed shard never
-        // contributed mass to keep bit-identical merged histograms on
-        // the pinned grid, so their tables follow to the new generation.
-        self.coeff_cache
-            .rebind_carrying(old_generation, &self.summaries, |name| {
-                shard.summaries.get(name).is_none_or(|p| p.count == 0)
-            });
         self.publish_snapshot();
         self.auto_refresh_if_needed();
         Ok(())
@@ -1181,8 +1140,8 @@ impl Database {
     // ---- persistence -------------------------------------------------
 
     /// Serializes everything derived — config, predicate catalog, the
-    /// merged summaries, every per-document shard, and the memoized
-    /// coefficient tables — into a versioned, checksummed catalog blob.
+    /// merged summaries, every per-document shard and the drift tracker
+    /// — into a versioned, checksummed catalog blob.
     /// [`Database::open_catalog`] restores a serving-ready database from
     /// it with zero tree traversal and byte-identical estimates.
     ///
@@ -1207,20 +1166,14 @@ impl Database {
                     summaries: s.summaries.clone(),
                 })
                 .collect(),
-            coefficients: self
-                .coeff_cache
-                .entries()
-                .into_iter()
-                .map(|(name, _basis, table)| (name, (*table).clone()))
-                .collect(),
             policy: self.config.policy,
             drift: Some(self.maintenance.tracker.clone()),
         }
         .to_bytes()
     }
 
-    /// Opens a database from catalog bytes: summaries, shards and
-    /// coefficient tables deserialize directly — **zero tree
+    /// Opens a database from catalog bytes: summaries and shards
+    /// deserialize directly — **zero tree
     /// traversal**, no parsing of any document. The result serves
     /// estimates (including batched snapshot estimation) byte-identically
     /// to the database that was saved — for DTD-configured builds only
@@ -1233,7 +1186,7 @@ impl Database {
     }
 
     /// Opens catalog bytes **leniently**: localized corruption (a torn
-    /// shard section, damaged coefficient tables, a bad drift section)
+    /// shard section, a bad drift section)
     /// quarantines just the affected parts while every intact document
     /// keeps serving. The returned [`OpenReport`] lists what was
     /// quarantined or dropped; [`Database::repair`] rebuilds quarantined
@@ -1256,16 +1209,9 @@ impl Database {
             None => MaintenanceState::new(file.merged.grid().g()),
         };
         let summaries = Arc::new(file.merged);
-        let coeff_cache = Arc::new(CoeffCache::new());
         let obs = Recorder::new();
         let metrics = Metrics::register(&obs);
-        let serving = initial_serving(
-            !quarantine.is_empty(),
-            &summaries,
-            &coeff_cache,
-            &obs,
-            &metrics,
-        );
+        let serving = initial_serving(!quarantine.is_empty(), &summaries, &obs, &metrics);
         let db = Database {
             tree: None,
             catalog: file.catalog,
@@ -1283,7 +1229,6 @@ impl Database {
                 .collect(),
             collection: false,
             index: ElementIndex::default(),
-            coeff_cache,
             epoch: 1,
             prepared: PreparedCache::with_recorder(crate::prepared::PREPARED_CACHE_CAP, &obs),
             maintenance,
@@ -1297,9 +1242,6 @@ impl Database {
         for (ordinal, _) in db.quarantine.iter().enumerate() {
             db.obs
                 .event(EventKind::ShardQuarantine, db.epoch, ordinal as u64, 0);
-        }
-        for (name, table) in file.coefficients {
-            db.coeff_cache.seed(&db.summaries, &name, Arc::new(table));
         }
         db
     }
@@ -1466,7 +1408,6 @@ impl Database {
             // derived); the next stable append re-merges fully once.
             self.merge_state = None;
             self.undo.clear();
-            self.coeff_cache = Arc::new(CoeffCache::new());
             self.epoch += 1;
             self.publish_snapshot();
         }
@@ -1524,9 +1465,7 @@ impl Database {
     pub fn attach_dtd(&mut self, dtd: xmlest_xml::dtd::DtdAnalysis) {
         self.config.dtd = Some(dtd.clone());
         // Copy-on-write: a live snapshot holding the old merged view is
-        // never mutated under a concurrent reader. The clone keeps the
-        // build id, so the coefficient binding is unchanged (matching
-        // the pre-snapshot behavior of not resetting the cache).
+        // never mutated under a concurrent reader.
         Arc::make_mut(&mut self.summaries).attach_dtd(dtd.clone());
         for shard in &mut self.shards {
             shard.summaries.attach_dtd(dtd.clone());
@@ -1562,16 +1501,6 @@ impl Database {
             .map(|s| &s.summaries)
     }
 
-    /// An estimator over the summaries, wired to the coefficient cache.
-    pub fn estimator(&self) -> Estimator<'_> {
-        self.summaries.estimator().with_cache(&self.coeff_cache)
-    }
-
-    /// The shared coefficient cache (introspection / tests).
-    pub fn coeff_cache(&self) -> &CoeffCache {
-        &self.coeff_cache
-    }
-
     // ---- wait-free serving -------------------------------------------
 
     /// Publishes the current serving state as a fresh epoch-stamped
@@ -1594,7 +1523,6 @@ impl Database {
             self.epoch,
             degraded,
             self.summaries.clone(),
-            self.coeff_cache.clone(),
             twigs,
             self.obs.clone(),
             self.metrics.clone(),
@@ -1702,7 +1630,7 @@ impl Database {
     /// resolved against the current summaries (validating names — a
     /// prepared query cannot fail estimation on an unknown predicate).
     fn resolve_prepared(&self, id: TwigId, twig: &Arc<TwigNode>) -> Result<PreparedQuery> {
-        let est = self.estimator();
+        let est = self.summaries.estimator();
         let preds = twig.predicates();
         let mut leaves = Vec::with_capacity(preds.len());
         for pred in preds {
@@ -1918,40 +1846,6 @@ mod tests {
         assert_eq!(any.len(), d.tree().len());
         assert!(matches!(any, Cow::Owned(_)));
         assert!(d.candidates(&PredExpr::named("ghost")).is_err());
-    }
-
-    #[test]
-    fn coeff_cache_fills_and_estimates_stay_stable() {
-        // `sec` nests inside itself, so it overlaps and its joins take
-        // the primitive (coefficient-table) path; the leaf descendants
-        // `p` then get their tables cached.
-        let d = Database::load_str(
-            "<doc>\
-               <sec><title/><sec><p/><p/></sec><p/></sec>\
-               <sec><p/></sec>\
-             </doc>",
-            &SummaryConfig::paper_defaults().with_grid_size(6),
-        )
-        .unwrap();
-        assert!(d.coeff_cache().is_empty());
-        let first = d.estimate("//sec//p").unwrap().value;
-        assert!(
-            !d.coeff_cache().is_empty(),
-            "primitive twig join did not populate the coefficient cache"
-        );
-        let filled = d.coeff_cache().len();
-        // Re-estimating hits the cache and must not drift.
-        for _ in 0..3 {
-            assert_eq!(d.estimate("//sec//p").unwrap().value, first);
-        }
-        assert_eq!(d.coeff_cache().len(), filled, "re-estimation re-filled");
-        // The cached answer matches the cache-free estimator.
-        let plain = d
-            .summaries()
-            .estimator()
-            .estimate_twig(&xmlest_query::parse_path("//sec//p").unwrap())
-            .unwrap();
-        assert!((plain.value - first).abs() < 1e-9);
     }
 
     #[test]
@@ -2200,6 +2094,7 @@ mod tests {
         .unwrap();
         // TA cannot appear under staff: the DTD shortcut answers 0.
         let want = d
+            .summaries()
             .estimator()
             .estimate_pair("staff", "TA", xmlest_core::EstimateMethod::Auto)
             .unwrap();
@@ -2209,6 +2104,7 @@ mod tests {
         let mut reopened = Database::open_catalog(&d.save_catalog()).unwrap();
         // Without the DTD the shortcut is gone (documented caveat)...
         let cold = reopened
+            .summaries()
             .estimator()
             .estimate_pair("staff", "TA", xmlest_core::EstimateMethod::Auto)
             .unwrap();
@@ -2216,6 +2112,7 @@ mod tests {
         // ...and re-attaching the same analysis restores it exactly.
         reopened.attach_dtd(dtd);
         let warm = reopened
+            .summaries()
             .estimator()
             .estimate_pair("staff", "TA", xmlest_core::EstimateMethod::Auto)
             .unwrap();
@@ -2236,7 +2133,6 @@ mod tests {
             &SummaryConfig::paper_defaults().with_grid_size(6),
         )
         .unwrap();
-        // Warm the coefficient cache so tables are persisted too.
         let paths = ["//faculty//TA", "//department//RA", "//faculty//name"];
         let expected: Vec<f64> = paths.iter().map(|p| d.estimate(p).unwrap().value).collect();
 

@@ -53,10 +53,7 @@
 //! the entry is re-prepared from its interned twig — no re-parse — and
 //! re-planned on next use, so a stale plan or resolution is
 //! **unreachable**: the caches survive collection mutations warm in
-//! identity, never in state. Coefficient tables follow the same
-//! contract one layer down, bound to the summaries generation
-//! (`CoeffCache`'s build id), which changes exactly when a mutation
-//! replaces the summaries. The grid [`maintenance`] layer leans on the
+//! identity, never in state. The grid [`maintenance`] layer leans on the
 //! same contract: an equi-depth refresh swaps the whole summary set to
 //! a new grid and bumps the epoch, so every cached plan re-prepares
 //! lazily — a stale-grid plan can never be served.
@@ -64,8 +61,8 @@
 //! ## Wait-free serving
 //!
 //! Every mutation commit additionally publishes an immutable,
-//! epoch-stamped [`snapshot::Snapshot`] — summaries, coefficient cache
-//! and a frozen prepared-twig view behind `Arc`s — through the
+//! epoch-stamped [`snapshot::Snapshot`] — summaries and a frozen
+//! prepared-twig view behind `Arc`s — through the
 //! database's [`snapshot::SnapshotCell`]. Readers load the current
 //! snapshot with one lock-free pointer load and estimate entirely
 //! against it, never blocking on (or being blocked by) maintenance;

@@ -256,7 +256,7 @@ impl<'db> Planner<'db> {
         if plans.is_empty() {
             return Ok(false);
         }
-        let est = self.db.estimator();
+        let est = self.db.summaries().estimator();
         let mut ws = self.ws.lock().expect("planner workspace lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
         ws.reset();
         for p in &plans {

@@ -2,12 +2,11 @@
 //! that publishes them — the wait-free read side of the database.
 //!
 //! A [`Snapshot`] freezes everything an estimate derives from: the
-//! merged [`Summaries`] (grid included), the shared coefficient cache,
-//! and a frozen view of the prepared-query cache's path→twig map, all
-//! behind `Arc`s so a successor snapshot reuses every component the
-//! mutation did not replace (a stable append allocates only the delta —
-//! the new merged summaries; the coefficient cache and twig map carry by
-//! pointer).
+//! merged [`Summaries`] (grid included) and a frozen view of the
+//! prepared-query cache's path→twig map, both behind `Arc`s so a
+//! successor snapshot reuses every component the mutation did not
+//! replace (a stable append allocates only the delta — the new merged
+//! summaries; the twig map carries by pointer).
 //!
 //! The [`SnapshotCell`] is the publication point: readers load the
 //! current snapshot with one lock-free pointer load
@@ -40,7 +39,7 @@ use crate::error::Result;
 use crate::telemetry::Metrics;
 use std::collections::HashMap;
 use std::sync::Arc;
-use xmlest_core::{CoeffCache, Estimate, Estimator, Summaries, TwigNode, TwigWorkspace};
+use xmlest_core::{Estimate, Summaries, TwigNode, TwigWorkspace};
 use xmlest_query::parse_path;
 use xmlest_xobs::{Recorder, Stage};
 
@@ -55,7 +54,6 @@ pub struct Snapshot {
     epoch: u64,
     degraded: bool,
     summaries: Arc<Summaries>,
-    coeffs: Arc<CoeffCache>,
     twigs: FrozenTwigs,
     /// The owning database's observability handle: snapshots record
     /// kernel latency and serve counters into the database's own
@@ -70,7 +68,6 @@ impl Snapshot {
         epoch: u64,
         degraded: bool,
         summaries: Arc<Summaries>,
-        coeffs: Arc<CoeffCache>,
         twigs: FrozenTwigs,
         obs: Recorder,
         metrics: Metrics,
@@ -79,7 +76,6 @@ impl Snapshot {
             epoch,
             degraded,
             summaries,
-            coeffs,
             twigs,
             obs,
             metrics,
@@ -125,17 +121,6 @@ impl Snapshot {
         &self.summaries
     }
 
-    /// The summaries generation ([`Summaries::generation`]) — what the
-    /// coefficient tables bind to.
-    pub fn generation(&self) -> u64 {
-        self.summaries.generation()
-    }
-
-    /// An estimator over this snapshot, wired to its coefficient cache.
-    pub fn estimator(&self) -> Estimator<'_> {
-        self.summaries.estimator().with_cache(&self.coeffs)
-    }
-
     /// Resolves a path to its canonical twig: a hit on the frozen
     /// prepared view skips the parser entirely; a miss parses and
     /// canonicalizes — either way the estimate runs on the canonical
@@ -165,7 +150,7 @@ impl Snapshot {
             // Sampled: per-op kernel timing at full cadence costs two
             // clock reads on a sub-microsecond warm path.
             let span = self.obs.span_sampled(Stage::Kernel);
-            let out = self.estimator().estimate_twig_with(ws, &twig);
+            let out = self.summaries.estimator().estimate_twig_with(ws, &twig);
             drop(span);
             Ok(out?)
         })();
@@ -186,7 +171,7 @@ impl Snapshot {
     /// [`Snapshot::estimate_twig`] on a caller-owned workspace.
     pub fn estimate_twig_with(&self, ws: &mut TwigWorkspace, twig: &TwigNode) -> Result<Estimate> {
         let span = self.obs.span_sampled(Stage::Kernel);
-        let out = self.estimator().estimate_twig_with(ws, twig);
+        let out = self.summaries.estimator().estimate_twig_with(ws, twig);
         drop(span);
         self.note(out.is_ok());
         Ok(out?)
@@ -197,7 +182,7 @@ impl Snapshot {
     /// sub-microsecond warm path.
     fn kernel(&self, twig: &TwigNode) -> Result<Estimate> {
         let span = self.obs.span_sampled(Stage::Kernel);
-        let out = self.estimator().estimate_twig(twig);
+        let out = self.summaries.estimator().estimate_twig(twig);
         drop(span);
         Ok(out?)
     }

@@ -880,8 +880,8 @@ fn has_doc_above(file: &ScannedFile, pub_off: usize) -> bool {
 /// R6: lock acquisitions in warm estimate-path modules. The wait-free
 /// serving contract (`engine::snapshot`) promises that estimates never
 /// block on a mutation; a `Mutex`/`RwLock` acquisition on that path
-/// would silently void it. Declaring a lock is fine (the coefficient
-/// cache keeps a writer-side publication lock); *acquiring* one —
+/// would silently void it. Declaring a lock is fine (a writer-side
+/// publication lock, say); *acquiring* one —
 /// `.lock()`, `.read()`, `.write()` method calls — is flagged unless a
 /// same-line pragma justifies it as writer-side only.
 fn lock_free_rule(path: &Path, file: &ScannedFile, out: &mut Vec<Violation>) {

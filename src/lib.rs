@@ -40,7 +40,7 @@
 //! |---|---|---|
 //! | [`xml`] | `xmlest-xml` | arena tree, parser, DTD, interval labels |
 //! | [`predicate`] | `xmlest-predicate` | base predicates, expressions, catalogs |
-//! | [`core`] | `xmlest-core` | flat (CSR) position/coverage histograms, zero-allocation pH-join kernels, estimator, coefficient cache, per-document summary shards, persistent catalog format |
+//! | [`core`] | `xmlest-core` | flat (CSR) position/coverage histograms, zero-allocation pH-join kernels, estimator, per-document summary shards, persistent catalog format |
 //! | [`query`] | `xmlest-query` | path parser, exact matcher, structural joins |
 //! | [`datagen`] | `xmlest-datagen` | DBLP/dept/XMark/Shakespeare generators |
 //! | [`engine`] | `xmlest-engine` | indexes, plans, cost-based optimizer, sharded document collections, catalog open/save, wait-free snapshot serving |
@@ -59,10 +59,9 @@
 //! reusable dense scratch ([`core::JoinWorkspace`]; zero heap
 //! allocations in steady state, enforced by test), summary construction
 //! classifies every tree node against the whole catalog in a single
-//! traversal and fans per-predicate builds out with `rayon`, and the
-//! engine memoizes per-predicate join-coefficient tables
-//! ([`core::CoeffCache`], CSR-stored) so repeated estimates cost O(g)
-//! per join.
+//! traversal and fans per-predicate builds out with `rayon`, and every
+//! primitive join runs the streaming Fig. 9 sweep at the outer
+//! operand's non-zero cells.
 //!
 //! ## Serving architecture
 //!

@@ -4,7 +4,7 @@
 //! flips, bad checksums, version mismatches) — errors, never panics.
 
 use proptest::prelude::*;
-use xmlest::core::{Error as CoreError, SummaryConfig};
+use xmlest::core::{Basis, Error as CoreError, EstimateMethod, SummaryConfig};
 use xmlest::engine::Database;
 
 /// A small random document: nested sections with a few distinct tags.
@@ -71,8 +71,7 @@ proptest! {
         )
         .expect("collection builds");
 
-        // Estimate twice: once cold (this also warms the coefficient
-        // cache so tables land in the catalog), remember the values.
+        // Estimate before saving and remember the values.
         let mut expected = Vec::new();
         for &(a, d) in &queries {
             let path = format!("//{}//{}", TAGS[a], TAGS[d]);
@@ -120,28 +119,31 @@ proptest! {
         )
         .expect("collection builds");
         db.estimate("//sec//p").ok();
-        let bytes = db.save_catalog();
 
-        // Any truncation is rejected.
-        let cut = cut_seed % bytes.len();
-        prop_assert!(Database::open_catalog(&bytes[..cut]).is_err());
+        // The current format and the v3 fixture, whose COEFFS section
+        // the open walks and discards.
+        for bytes in [db.save_catalog(), V3_FIXTURE.to_vec()] {
+            // Any truncation is rejected.
+            let cut = cut_seed % bytes.len();
+            prop_assert!(Database::open_catalog(&bytes[..cut]).is_err());
 
-        // Any single-byte corruption is rejected (header fields break
-        // magic/version/length checks; payload bytes break the
-        // checksum).
-        let pos = flip_seed % bytes.len();
-        let mut bad = bytes.clone();
-        bad[pos] ^= 0xA5;
-        match Database::open_catalog(&bad) {
-            Err(xmlest::engine::Error::Core(CoreError::Corrupt(_))) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
-            Ok(_) => prop_assert!(false, "corrupted catalog at byte {} accepted", pos),
+            // Any single-byte corruption is rejected (header fields break
+            // magic/version/length checks; payload bytes break the
+            // checksum).
+            let pos = flip_seed % bytes.len();
+            let mut bad = bytes.clone();
+            bad[pos] ^= 0xA5;
+            match Database::open_catalog(&bad) {
+                Err(xmlest::engine::Error::Core(CoreError::Corrupt(_))) => {}
+                Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
+                Ok(_) => prop_assert!(false, "corrupted catalog at byte {} accepted", pos),
+            }
+
+            // Trailing garbage is rejected.
+            let mut extended = bytes.clone();
+            extended.extend_from_slice(&[0, 1, 2]);
+            prop_assert!(Database::open_catalog(&extended).is_err());
         }
-
-        // Trailing garbage is rejected.
-        let mut extended = bytes.clone();
-        extended.extend_from_slice(&[0, 1, 2]);
-        prop_assert!(Database::open_catalog(&extended).is_err());
     }
 
     /// Heavier corruption than the single-flip case: several random
@@ -223,6 +225,113 @@ fn empty_and_tiny_inputs_rejected() {
     assert!(Database::open_catalog(&vec![0xFFu8; 4096]).is_err());
 }
 
+/// Catalog header bytes before the payload: magic, version, payload
+/// length and payload checksum.
+const HEADER_LEN: usize = 22;
+/// Section kind of the v1–v3 coefficient tables.
+const SEC_COEFFS: u8 = 4;
+
+/// A catalog saved by the last format version that persisted
+/// precomputed coefficient tables; CHANGES.md records how it was
+/// generated.
+const V3_FIXTURE: &[u8] = include_bytes!("fixtures/catalog_v3.bin");
+
+/// The `f64` bits each path estimated to in the database that saved
+/// [`V3_FIXTURE`], served through its warm coefficient tables.
+const V3_ESTIMATES: [(&str, u64); 7] = [
+    ("//sec//p", 0x4020800000000000),
+    ("//sec//sec", 0x4011000000000000),
+    ("//sec//sec//p", 0x400e0e38e38e38e3),
+    ("//doc//sec", 0x4017555555555555),
+    ("//sec[.//fig]//p", 0x400e555555555555),
+    ("//doc//note//p", 0x3fd999999999999a),
+    ("//sec//note", 0x4002aaaaaaaaaaaa),
+];
+
+/// The descendant-based primitive `sec // p` pair estimate of the same
+/// database, served through its descendant-based table.
+const V3_PAIR_BITS: u64 = 0x402f800000000000;
+
+fn version(bytes: &[u8]) -> u16 {
+    u16::from_le_bytes([bytes[4], bytes[5]])
+}
+
+/// The framed (v3+) payload's sections: kind and body byte range.
+fn frames(bytes: &[u8]) -> Vec<(u8, std::ops::Range<usize>)> {
+    let mut out = Vec::new();
+    let mut at = HEADER_LEN;
+    while at < bytes.len() {
+        let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+        let body = at + 17;
+        out.push((bytes[at], body..body + len));
+        at = body + len;
+    }
+    out
+}
+
+/// Asserts that `db` serves every [`V3_ESTIMATES`] path, and the pair,
+/// at the recorded bits.
+fn assert_v3_estimates(db: &Database, what: &str) {
+    for (path, bits) in V3_ESTIMATES {
+        let got = db.estimate(path).unwrap().value;
+        assert_eq!(
+            got.to_bits(),
+            bits,
+            "{what} {path}: {got} vs {}",
+            f64::from_bits(bits)
+        );
+    }
+    let pair = db
+        .summaries()
+        .estimator()
+        .estimate_pair(
+            "sec",
+            "p",
+            EstimateMethod::Primitive(Basis::DescendantBased),
+        )
+        .unwrap()
+        .value;
+    assert_eq!(pair.to_bits(), V3_PAIR_BITS, "{what} sec//p pair: {pair}");
+}
+
+/// A **version 3** catalog whose COEFFS section holds precomputed
+/// tables opens under both modes with a clean report, and estimates to
+/// the bits its writer served through those tables: the streaming
+/// kernel computes the same products in the same order. Re-saving
+/// writes version 4 without the section.
+#[test]
+fn v3_catalog_fixture_skips_coefficients_and_keeps_estimates() {
+    assert_eq!(&V3_FIXTURE[..4], b"XCTL");
+    assert_eq!(version(V3_FIXTURE), 3);
+    let coeffs = frames(V3_FIXTURE)
+        .into_iter()
+        .find(|(kind, _)| *kind == SEC_COEFFS)
+        .expect("the fixture has a COEFFS section")
+        .1;
+    let tables = u32::from_le_bytes(
+        V3_FIXTURE[coeffs.start..coeffs.start + 4]
+            .try_into()
+            .unwrap(),
+    );
+    assert!(tables > 0, "the fixture's COEFFS section holds tables");
+
+    let strict = Database::open_catalog(V3_FIXTURE).expect("strict open");
+    let (lenient, report) = Database::open_catalog_degraded(V3_FIXTURE).expect("lenient open");
+    assert!(report.is_clean(), "{report:?}");
+    for (db, what) in [(&strict, "strict"), (&lenient, "lenient")] {
+        assert_eq!(db.document_names(), vec!["a.xml", "b.xml", "c.xml"]);
+        assert_v3_estimates(db, what);
+    }
+
+    let upgraded = strict.save_catalog();
+    assert_eq!(version(&upgraded), 4);
+    assert!(frames(&upgraded)
+        .iter()
+        .all(|(kind, _)| *kind != SEC_COEFFS));
+    let again = Database::open_catalog(&upgraded).expect("v4 re-save opens");
+    assert_v3_estimates(&again, "v4 re-save");
+}
+
 /// A catalog saved by the **version 1** format (bytes produced by the
 /// pre-maintenance code and checked in as a fixture) must still open:
 /// the grid policy defaults to `Static` — exactly the behavior the
@@ -236,6 +345,8 @@ fn v1_catalog_fixture_opens_with_static_policy() {
     assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 1);
 
     let reopened = Database::open_catalog(bytes).expect("v1 catalog opens");
+    let (_, report) = Database::open_catalog_degraded(bytes).expect("v1 opens leniently");
+    assert!(report.is_clean(), "{report:?}");
     assert_eq!(
         reopened.config().policy,
         xmlest::core::GridPolicy::Static,
@@ -269,8 +380,8 @@ fn v1_catalog_fixture_opens_with_static_policy() {
 
     // Re-saving writes the current version; the upgrade round-trips.
     let upgraded = reopened.save_catalog();
-    assert_eq!(u16::from_le_bytes([upgraded[4], upgraded[5]]), 3);
-    let again = Database::open_catalog(&upgraded).expect("v3 re-save opens");
+    assert_eq!(version(&upgraded), 4);
+    let again = Database::open_catalog(&upgraded).expect("v4 re-save opens");
     for path in ["//fac//TA", "//dept//RA"] {
         assert_eq!(
             again.estimate(path).unwrap().value.to_bits(),
@@ -286,14 +397,109 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// A little-endian reader over catalog bytes, for locating fields.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    fn u8(&mut self) -> u8 {
+        self.pos += 1;
+        self.bytes[self.pos - 1]
+    }
+    fn u32(&mut self) -> usize {
+        self.pos += 4;
+        u32::from_le_bytes(self.bytes[self.pos - 4..self.pos].try_into().unwrap()) as usize
+    }
+    fn u64(&mut self) -> usize {
+        self.pos += 8;
+        u64::from_le_bytes(self.bytes[self.pos - 8..self.pos].try_into().unwrap()) as usize
+    }
+    fn skip(&mut self, n: usize) {
+        self.pos += n;
+    }
+    fn str(&mut self) {
+        let n = self.u32();
+        self.skip(n);
+    }
+    fn grid(&mut self) {
+        let n = self.u32();
+        self.skip(4 * n);
+        if self.u8() == 1 {
+            self.skip(4);
+        }
+    }
+}
+
+/// Where a v1 or v3 catalog stores its coefficient-table count, and the
+/// first table's entry count when there is a table.
+fn coefficient_counts(bytes: &[u8]) -> (usize, Option<usize>) {
+    let mut c = Cursor { bytes, pos: 0 };
+    if version(bytes) >= 3 {
+        c.pos = frames(bytes)
+            .into_iter()
+            .find(|(kind, _)| *kind == SEC_COEFFS)
+            .expect("v3 has a COEFFS section")
+            .1
+            .start;
+    } else {
+        // Unframed: config, predicate catalog, merged summaries, shards,
+        // then the coefficient tables.
+        c.pos = HEADER_LEN + 5;
+        for _ in 0..c.u32() {
+            c.str();
+            match c.u8() {
+                0..=4 => c.str(),
+                5 => c.skip(16),
+                6 => c.skip(4),
+                _ => {}
+            }
+        }
+        let merged = c.u64();
+        c.skip(merged);
+        for _ in 0..c.u32() {
+            c.str();
+            c.skip(4);
+            let shard = c.u64();
+            c.skip(shard);
+        }
+    }
+    let tables_at = c.pos;
+    if c.u32() == 0 {
+        return (tables_at, None);
+    }
+    c.str();
+    c.skip(1);
+    c.grid();
+    (tables_at, Some(c.pos))
+}
+
+/// Overwrites the `u32` at `at` with a hostile count, then recomputes
+/// the checksum of the section holding it (framed formats) and the
+/// payload checksum.
+fn inflate(bytes: &[u8], at: usize) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    bad[at..at + 4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+    if version(&bad) >= 3 {
+        for (_, body) in frames(&bad) {
+            if body.contains(&at) {
+                let sum = fnv1a64(&bad[body.clone()]);
+                bad[body.start - 8..body.start].copy_from_slice(&sum.to_le_bytes());
+            }
+        }
+    }
+    let sum = fnv1a64(&bad[HEADER_LEN..]);
+    bad[14..22].copy_from_slice(&sum.to_le_bytes());
+    bad
+}
+
 /// Checksums are corruption detection, not authentication: a crafted
 /// catalog can inflate a length prefix and recompute every checksum.
 /// Opening it must be a clean `Err` — never an allocation sized by the
 /// hostile count (which aborts the process).
 #[test]
 fn inflated_length_prefix_with_valid_checksums_is_rejected() {
-    const HEADER_LEN: usize = 22;
-    const FRAME_HEADER_LEN: usize = 17;
     const SEC_MERGED: u8 = 2;
     const SEC_SHARD: u8 = 3;
     let db = Database::load_documents(
@@ -305,33 +511,37 @@ fn inflated_length_prefix_with_valid_checksums_is_rejected() {
 
     // Every summaries body starts with magic (4) and version (2), then
     // the grid's boundary count; shard bodies prefix a u32 index.
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
     for (kind, count_at) in [(SEC_MERGED, 6), (SEC_SHARD, 4 + 6)] {
-        let mut bad = bytes.clone();
-        let mut at = HEADER_LEN;
-        loop {
-            let len = u64::from_le_bytes(bad[at + 1..at + 9].try_into().unwrap()) as usize;
-            if bad[at] == kind {
-                let body = at + FRAME_HEADER_LEN;
-                bad[body + count_at..body + count_at + 4]
-                    .copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
-                let sum = fnv1a64(&bad[body..body + len]);
-                bad[at + 9..at + 17].copy_from_slice(&sum.to_le_bytes());
-                break;
-            }
-            at += FRAME_HEADER_LEN + len;
-        }
-        let sum = fnv1a64(&bad[HEADER_LEN..]);
-        bad[14..22].copy_from_slice(&sum.to_le_bytes());
+        let (_, body) = frames(&bytes)
+            .into_iter()
+            .find(|(k, _)| *k == kind)
+            .expect("section present");
+        cases.push((
+            format!("kind {kind}"),
+            inflate(&bytes, body.start + count_at),
+        ));
+    }
+    // The coefficient tables the v1 and v3 fixtures still carry: the
+    // table count, and the first table's entry count.
+    let v1: &[u8] = include_bytes!("fixtures/catalog_v1.bin");
+    for (name, fixture) in [("v1", v1), ("v3", V3_FIXTURE)] {
+        let (tables_at, entries_at) = coefficient_counts(fixture);
+        cases.push((format!("{name} table count"), inflate(fixture, tables_at)));
+        let entries_at = entries_at.expect("the fixture holds a table");
+        cases.push((format!("{name} entry count"), inflate(fixture, entries_at)));
+    }
 
-        match Database::open_catalog(&bad) {
+    for (what, bad) in &cases {
+        match Database::open_catalog(bad) {
             Err(xmlest::engine::Error::Core(CoreError::Corrupt(msg))) => {
-                assert!(msg.contains("length prefix"), "kind {kind}: {msg:?}");
+                assert!(msg.contains("length prefix"), "{what}: {msg:?}");
             }
-            Err(other) => panic!("kind {kind}: expected Corrupt, got {other:?}"),
-            Ok(_) => panic!("kind {kind}: inflated length prefix accepted"),
+            Err(other) => panic!("{what}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("{what}: inflated length prefix accepted"),
         }
         // Lenient opens may rebuild around the damage, but must not
         // abort or panic either.
-        let _ = Database::open_catalog_degraded(&bad);
+        let _ = Database::open_catalog_degraded(bad);
     }
 }

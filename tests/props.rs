@@ -506,38 +506,4 @@ proptest! {
             }
         }
     }
-
-    /// Cached coefficient tables produce the same pair estimates as the
-    /// uncached estimator.
-    #[test]
-    fn coeff_cache_is_transparent(tree in arb_tree(120), g in 2u16..16) {
-        let mut catalog = Catalog::new();
-        catalog.define_all_tags(&tree);
-        let summaries = Summaries::build(
-            &tree,
-            &catalog,
-            &SummaryConfig::paper_defaults().with_grid_size(g),
-        ).unwrap();
-        let cache = xmlest::core::CoeffCache::new();
-        let plain = summaries.estimator();
-        let cached = summaries.estimator().with_cache(&cache);
-        for (anc, desc) in [("t0", "t1"), ("t1", "t2"), ("t2", "t1")] {
-            if summaries.get(anc).is_none() || summaries.get(desc).is_none() {
-                continue;
-            }
-            for basis in [Basis::AncestorBased, Basis::DescendantBased] {
-                let a = plain.estimate_pair(anc, desc, EstimateMethod::Primitive(basis)).unwrap();
-                // Twice: the second hit reads the populated cache.
-                for _ in 0..2 {
-                    let b = cached
-                        .estimate_pair(anc, desc, EstimateMethod::Primitive(basis))
-                        .unwrap();
-                    prop_assert!(
-                        (a.value - b.value).abs() < 1e-9,
-                        "{anc}//{desc} {basis:?}: {} vs {}", a.value, b.value
-                    );
-                }
-            }
-        }
-    }
 }
