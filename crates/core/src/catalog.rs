@@ -294,7 +294,7 @@ fn read_drift(r: &mut Reader, expected_g: u16) -> Result<DriftTracker> {
     DriftTracker::from_parts(g, rows, baseline, mutations)
 }
 
-/// The parsed META section: the root of trust for a v3 open. Everything
+/// The parsed META section: the root of trust for a framed open. Everything
 /// here is required to interpret (or quarantine) the other sections.
 struct Meta {
     config: SummaryConfig,
@@ -402,7 +402,7 @@ struct Section<'a> {
     checksum_ok: bool,
 }
 
-/// Walks the v3 payload's frames. Returns the sections it could
+/// Walks the framed payload's frames. Returns the sections it could
 /// delimit plus whether the walk ended early (truncation, a corrupted
 /// frame header, or an unknown kind — everything after that point is
 /// lost).
@@ -915,7 +915,7 @@ impl CatalogFile {
 }
 
 /// Reads one length-prefixed `summary::to_bytes` section (legacy
-/// payloads only; v3 sections are framed instead).
+/// payloads only; v3+ sections are framed instead).
 fn read_summaries_section(r: &mut Reader) -> Result<Summaries> {
     let len = r.u64()? as usize;
     let bytes = r.take(len)?;
