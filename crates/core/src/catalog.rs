@@ -56,8 +56,8 @@
 //! the writer omits the section and every open skips it. A **version
 //! 3** catalog has the v4 layout plus one COEFFS frame between the last
 //! SHARD and DRIFT: the strict open checks its checksum and walks its
-//! body through the bounds-checked [`Reader`] without building a table;
-//! the lenient open ignores it.
+//! body through the bounds-checked `summary::Reader` without building a
+//! table; the lenient open ignores it.
 //!
 //! **Version 1/2** catalogs (a single unframed payload guarded only by
 //! the whole-payload checksum) still open through the legacy parser,
