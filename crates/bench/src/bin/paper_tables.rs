@@ -5,7 +5,10 @@
 //! Usage:
 //!   paper_tables [--all] [--table1] [--table2] [--table3] [--table4]
 //!                [--fig11] [--fig12] [--theorems] [--extensions]
-//!                [--records N] [--nodes N]
+//!                [--battery] [--baselines] [--records N] [--nodes N]
+//!
+//! No table flag selects every table. An unknown flag or a non-numeric
+//! value prints the usage and exits 2.
 //!
 //! Absolute values differ from the paper (different data, different
 //! hardware); the point of the reproduction is the *shape*: which
@@ -16,21 +19,81 @@ use xmlest_bench::{dblp_workload, dept_workload, Workload};
 use xmlest_core::{Basis, EstimateMethod, Estimator, Summaries, SummaryConfig};
 use xmlest_query::{count_matches, parse_path};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |f: &str| args.iter().any(|a| a == f);
-    let value = |f: &str| {
-        args.iter()
-            .position(|a| a == f)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
+/// Every table flag, without its `--`.
+const TABLES: [&str; 10] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig11",
+    "fig12",
+    "theorems",
+    "extensions",
+    "battery",
+    "baselines",
+];
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    /// The selected tables; never empty.
+    tables: Vec<&'static str>,
+    records: usize,
+    nodes: usize,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args {
+        tables: Vec::new(),
+        records: 20_000,
+        nodes: 2_500,
     };
-    let all = has("--all")
-        || args
-            .iter()
-            .all(|a| a.starts_with("--records") || a.starts_with("--nodes"));
-    let records = value("--records").unwrap_or(20_000);
-    let nodes = value("--nodes").unwrap_or(2_500);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--all" => out.tables.extend(TABLES),
+            "--records" | "--nodes" => {
+                let value = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| format!("{arg} takes a number"))?;
+                if arg == "--records" {
+                    out.records = value;
+                } else {
+                    out.nodes = value;
+                }
+            }
+            flag => {
+                let table = flag
+                    .strip_prefix("--")
+                    .and_then(|name| TABLES.into_iter().find(|&t| t == name))
+                    .ok_or_else(|| format!("unknown argument `{flag}`"))?;
+                out.tables.push(table);
+            }
+        }
+    }
+    if out.tables.is_empty() {
+        out.tables.extend(TABLES);
+    }
+    Ok(out)
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        tables,
+        records,
+        nodes,
+    } = parse_args(&argv).unwrap_or_else(|msg| {
+        let flags: Vec<String> = TABLES.iter().map(|t| format!("[--{t}]")).collect();
+        eprintln!("paper_tables: {msg}");
+        eprintln!(
+            "usage: paper_tables [--all] {} [--records N] [--nodes N]",
+            flags.join(" ")
+        );
+        std::process::exit(2)
+    });
+    let want = |table: &str| tables.contains(&table);
 
     println!("== xmlest paper-table harness ==");
     println!("data scales: dblp records={records}, dept target nodes={nodes}");
@@ -39,34 +102,34 @@ fn main() {
     let dblp = dblp_workload(records);
     let dept = dept_workload(nodes);
 
-    if all || has("--table1") {
+    if want("table1") {
         table1(&dblp);
     }
-    if all || has("--table2") {
+    if want("table2") {
         table2(&dblp);
     }
-    if all || has("--table3") {
+    if want("table3") {
         table3(&dept);
     }
-    if all || has("--table4") {
+    if want("table4") {
         table4(&dept);
     }
-    if all || has("--fig11") {
+    if want("fig11") {
         fig11(&dept);
     }
-    if all || has("--fig12") {
+    if want("fig12") {
         fig12(&dblp);
     }
-    if all || has("--theorems") {
+    if want("theorems") {
         theorems(&dblp, &dept);
     }
-    if all || has("--extensions") {
+    if want("extensions") {
         extensions(&dept);
     }
-    if all || has("--battery") {
+    if want("battery") {
         battery(&dblp, &dept);
     }
-    if all || has("--baselines") {
+    if want("baselines") {
         baselines(&dept);
     }
 }
@@ -455,4 +518,35 @@ fn extensions(dept: &Workload) {
     let exact = xmlest_core::ordered::exact_before(&emp_iv, &email_iv);
     println!("ordered semantics (employee before email): est {before:.0} exact {exact}");
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Args, String> {
+        let args: Vec<String> = args.split_whitespace().map(str::to_owned).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn value_flags_alone_select_every_table() {
+        let args = parse("--records 300 --nodes 200").unwrap();
+        assert_eq!(args.tables, TABLES);
+        assert_eq!((args.records, args.nodes), (300, 200));
+    }
+
+    #[test]
+    fn table_flags_select_exactly_those_tables() {
+        let args = parse("--table2 --fig11").unwrap();
+        assert_eq!(args.tables, ["table2", "fig11"]);
+        assert_eq!((args.records, args.nodes), (20_000, 2_500));
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_values_are_errors() {
+        assert!(parse("--tabel2").is_err());
+        assert!(parse("--records x").is_err());
+        assert!(parse("--nodes").is_err());
+    }
 }

@@ -134,6 +134,7 @@ pub struct CatalogShard {
 /// directory, so a `repair()` can rebuild the shard in place.
 #[derive(Debug, Clone)]
 pub struct QuarantinedShard {
+    /// The document's name in the META directory.
     pub name: String,
     /// The document's original mega-tree position offset — a repair
     /// must rebuild at exactly this offset.
@@ -414,8 +415,16 @@ fn walk_frames(payload: &[u8]) -> (Vec<Section<'_>>, bool) {
             return (sections, true);
         }
         let kind = payload[pos];
-        let len_bytes: [u8; 8] = payload[pos + 1..pos + 9].try_into().unwrap(); // xlint: allow(no-panic, "8-byte sub-slice of a FRAME_HEADER_LEN-checked region; conversion is infallible")
-        let sum_bytes: [u8; 8] = payload[pos + 9..pos + 17].try_into().unwrap(); // xlint: allow(no-panic, "8-byte sub-slice of a FRAME_HEADER_LEN-checked region; conversion is infallible")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "8-byte sub-slice of a FRAME_HEADER_LEN-checked region; conversion is infallible"
+        )]
+        let len_bytes: [u8; 8] = payload[pos + 1..pos + 9].try_into().unwrap();
+        #[expect(
+            clippy::unwrap_used,
+            reason = "8-byte sub-slice of a FRAME_HEADER_LEN-checked region; conversion is infallible"
+        )]
+        let sum_bytes: [u8; 8] = payload[pos + 9..pos + 17].try_into().unwrap();
         let len = u64::from_le_bytes(len_bytes) as usize;
         let checksum = u64::from_le_bytes(sum_bytes);
         pos += FRAME_HEADER_LEN;

@@ -204,9 +204,13 @@ impl CoverageHistogram {
         // exactly 1 and are reconstructed geometrically.
         let mut partial = Vec::new();
         for ((dcell, acell), cnt) in covered {
+            #[expect(
+                clippy::expect_used,
+                reason = "every covered pair's cell was pushed into dcells in the same pass; totals always contains it"
+            )]
             let t_idx = totals
                 .binary_search_by_key(&dcell, |&(c, _)| c)
-                .expect("covered cell has population"); // xlint: allow(no-panic, "every covered pair's cell was pushed into dcells in the same pass; totals always contains it")
+                .expect("covered cell has population");
             let frac = cnt as f64 / totals[t_idx].1 as f64;
             let strictly_inside = acell.0 < dcell.0 && dcell.1 < acell.1;
             if strictly_inside {

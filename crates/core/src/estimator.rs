@@ -105,12 +105,22 @@ impl SummaryConfig {
 /// Everything stored for one catalog predicate.
 #[derive(Debug, Clone)]
 pub struct PredicateSummary {
+    /// The predicate's name in the catalog.
     pub name: String,
+    /// The predicate itself.
     pub pred: BasePredicate,
+    /// Position histogram of the matching nodes (Section 3).
     pub hist: PositionHistogram,
+    /// Coverage histogram (Section 4.2); built only for a non-empty
+    /// no-overlap predicate when the config asks for coverage.
     pub cvg: Option<CoverageHistogram>,
+    /// Per-depth histograms for parent–child estimation, when the config
+    /// builds them.
     pub levels: Option<LevelHistogram>,
+    /// No matching node is an ancestor of another (from the DTD when it
+    /// knows the tag, otherwise detected from the data).
     pub no_overlap: bool,
+    /// Number of matching nodes.
     pub count: u64,
     /// Mean interval width (subtree size in positions) of matching
     /// nodes; prices navigational joins in the engine's cost model.
@@ -227,19 +237,6 @@ impl Summaries {
         };
         crate::invariants::checkpoint("Summaries::build", || out.validate());
         Ok(out)
-    }
-
-    /// Historical entry point from when parallelism was opt-in.
-    /// [`Summaries::build`] is now single-pass and parallel by itself;
-    /// this simply delegates (the `threads` knob is ignored) and remains
-    /// for API compatibility.
-    pub fn build_parallel(
-        tree: &XmlTree,
-        catalog: &Catalog,
-        config: &SummaryConfig,
-        _threads: usize,
-    ) -> Result<Summaries> {
-        Self::build(tree, catalog, config)
     }
 
     /// Built-in structural predicates prepended by [`Self::entry_list`];
@@ -810,7 +807,11 @@ impl<'a> Estimator<'a> {
     pub fn estimate_pair(&self, anc: &str, desc: &str, method: EstimateMethod) -> Result<Estimate> {
         let a = self.summary(anc)?;
         let d = self.summary(desc)?;
-        let start = Instant::now(); // xlint: allow(io-confinement, "wall-clock for the Estimate.elapsed report only; never feeds estimation math")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock for the Estimate.elapsed report only; never feeds estimation math"
+        )]
+        let start = Instant::now();
         let (value, tag) = match method {
             EstimateMethod::Auto => {
                 if let Some(v) = self.schema_shortcut(anc, desc) {
@@ -878,7 +879,11 @@ impl<'a> Estimator<'a> {
     /// zero-allocation steady-state path for services that estimate in a
     /// loop (enforced by `tests/alloc_discipline.rs`).
     pub fn estimate_twig_with(&self, ws: &mut TwigWorkspace, twig: &TwigNode) -> Result<Estimate> {
-        let start = Instant::now(); // xlint: allow(io-confinement, "wall-clock for the Estimate.elapsed report only; never feeds estimation math")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock for the Estimate.elapsed report only; never feeds estimation math"
+        )]
+        let start = Instant::now();
         let stats = self.twig_eval(ws, twig)?;
         let value = stats.match_total();
         stats.release(ws);
@@ -1182,24 +1187,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_identical_to_serial() {
+    fn build_is_deterministic() {
         let tree = parse_str(&fig1_xml()).unwrap();
         let mut catalog = Catalog::new();
         catalog.define_all_tags(&tree);
         let config = SummaryConfig::paper_defaults().with_grid_size(6);
-        let serial = Summaries::build(&tree, &catalog, &config).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel = Summaries::build_parallel(&tree, &catalog, &config, threads).unwrap();
-            assert_eq!(parallel.len(), serial.len());
-            assert_eq!(parallel.grid(), serial.grid());
-            assert_eq!(parallel.true_hist(), serial.true_hist());
-            for s in serial.iter() {
-                let p = parallel.get(&s.name).unwrap();
-                assert_eq!(p.hist, s.hist, "{} ({threads} threads)", s.name);
-                assert_eq!(p.cvg, s.cvg);
-                assert_eq!(p.no_overlap, s.no_overlap);
-                assert_eq!(p.count, s.count);
-            }
+        let first = Summaries::build(&tree, &catalog, &config).unwrap();
+        let second = Summaries::build(&tree, &catalog, &config).unwrap();
+        assert_eq!(second.len(), first.len());
+        assert_eq!(second.grid(), first.grid());
+        assert_eq!(second.true_hist(), first.true_hist());
+        for s in first.iter() {
+            let p = second.get(&s.name).unwrap();
+            assert_eq!(p.hist, s.hist, "{}", s.name);
+            assert_eq!(p.cvg, s.cvg);
+            assert_eq!(p.no_overlap, s.no_overlap);
+            assert_eq!(p.count, s.count);
         }
     }
 

@@ -76,7 +76,11 @@ impl Grid {
             let b = positions[rank.min(n - 1)];
             // Boundaries must be strictly increasing; skip duplicates by
             // nudging forward (bucket becomes empty rather than invalid).
-            let prev = *boundaries.last().expect("non-empty"); // xlint: allow(no-panic, "boundaries starts with the 0 pushed above; never empty here")
+            #[expect(
+                clippy::expect_used,
+                reason = "boundaries starts with the 0 pushed above; never empty here"
+            )]
+            let prev = *boundaries.last().expect("non-empty");
             boundaries.push(b.max(prev + 1));
         }
         let span = max_pos + 1;

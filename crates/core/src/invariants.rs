@@ -36,8 +36,12 @@ where
     F: FnOnce() -> Result<(), String>,
 {
     #[cfg(feature = "strict-invariants")]
+    #[expect(
+        clippy::panic,
+        reason = "the sanitizer's entire purpose is failing loudly on a broken invariant in checked builds; compiled out without the feature"
+    )]
     if let Err(violation) = validate() {
-        panic!("strict-invariants: {what}: {violation}"); // xlint: allow(no-panic, "the sanitizer's entire purpose is failing loudly on a broken invariant in checked builds; compiled out without the feature")
+        panic!("strict-invariants: {what}: {violation}");
     }
     #[cfg(not(feature = "strict-invariants"))]
     let _ = (what, validate);

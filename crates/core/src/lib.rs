@@ -20,6 +20,20 @@
 //! ([`parent_child`]) and equi-depth grids ([`grid::Grid::equi_depth`]) —
 //! the future-work items of Section 7.
 
+// Serving-crate rules (README "Lints"): no panics, and no clock, file,
+// socket or lock call from clippy.toml's lists without an `#[expect]`.
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
+
 pub mod catalog;
 /// Compound-predicate estimation over boolean predicate expressions.
 pub mod compound;

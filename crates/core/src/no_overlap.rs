@@ -145,7 +145,9 @@ impl NodeStats {
 /// without cloning the base.
 #[derive(Debug, Clone, Copy)]
 pub struct CoverageRef<'a> {
+    /// The stored coverage histogram.
     pub base: &'a CoverageHistogram,
+    /// Per-covering-cell scale factors applied on top of `base`.
     pub overlay: &'a [(Cell, f64)],
 }
 
@@ -162,10 +164,13 @@ impl<'a> CoverageRef<'a> {
 /// hot path never clones summary state.
 #[derive(Debug, Clone, Copy)]
 pub struct StatsView<'a> {
+    /// Position histogram of the node's matches.
     pub hist: &'a PositionHistogram,
     /// `None` = unit join factors (a leaf: one match per node).
     pub jn_fct: Option<&'a PositionHistogram>,
+    /// Coverage of the node's matches, when it is a no-overlap node.
     pub cvg: Option<CoverageRef<'a>>,
+    /// No match of this node is an ancestor of another.
     pub no_overlap: bool,
 }
 
@@ -205,7 +210,11 @@ pub struct StatsSlot {
 
 impl Default for StatsSlot {
     fn default() -> Self {
-        let unit = Grid::uniform(1, 0).expect("unit grid is valid"); // xlint: allow(no-panic, "constant 1x1 grid over span 1 always validates")
+        #[expect(
+            clippy::expect_used,
+            reason = "constant 1x1 grid over span 1 always validates"
+        )]
+        let unit = Grid::uniform(1, 0).expect("unit grid is valid");
         StatsSlot {
             hist: PositionHistogram::empty(unit.clone()),
             jn_fct: PositionHistogram::empty(unit),
@@ -407,6 +416,7 @@ impl CoverageScratch {
 /// zero heap allocations.
 #[derive(Debug)]
 pub struct TwigWorkspace {
+    /// Scratch for the pH-join kernels.
     pub join: JoinWorkspace,
     match_x: PositionHistogram,
     match_y: PositionHistogram,
@@ -416,7 +426,11 @@ pub struct TwigWorkspace {
 
 impl Default for TwigWorkspace {
     fn default() -> Self {
-        let unit = Grid::uniform(1, 0).expect("unit grid is valid"); // xlint: allow(no-panic, "constant 1x1 grid over span 1 always validates")
+        #[expect(
+            clippy::expect_used,
+            reason = "constant 1x1 grid over span 1 always validates"
+        )]
+        let unit = Grid::uniform(1, 0).expect("unit grid is valid");
         TwigWorkspace {
             join: JoinWorkspace::new(),
             match_x: PositionHistogram::empty(unit.clone()),

@@ -541,7 +541,10 @@ pub fn merge_delta(
 /// the catalog gained with this very document) starts from the fold's
 /// initial value — exactly what the full merge computes when every older
 /// shard lacks the entry.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a distinct merge input; a struct would only rename them"
+)]
 fn delta_entry(
     name: &str,
     pred: &BasePredicate,
@@ -726,7 +729,10 @@ fn delta_entry(
 /// Merges one predicate's entry across all shards — a pure function of
 /// its inputs, safe to run on any thread. Returns the merged summary
 /// plus the fold accumulators [`merge_delta`] resumes from.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a distinct merge input; a struct would only rename them"
+)]
 fn merge_entry(
     name: &str,
     pred: &BasePredicate,

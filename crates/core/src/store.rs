@@ -53,6 +53,11 @@
 //! Backends address files by **name within one store directory** —
 //! there is no path traversal, no nesting; a store is a flat bag of
 //! generation files, which is all the crash semantics need.
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the storage backend is the one module that does file IO"
+)]
 
 use crate::error::{Error, Result};
 use std::collections::BTreeMap;
@@ -510,7 +515,9 @@ pub struct CatalogStore<'b> {
 /// [`CatalogStore::load_latest_valid`].
 #[derive(Debug, Clone)]
 pub struct SkippedGeneration {
+    /// The generation number (`gen-<n>.xctl`).
     pub generation: u64,
+    /// Why it was skipped: the read or validation error, rendered.
     pub reason: String,
 }
 
@@ -641,7 +648,6 @@ impl<'b> CatalogStore<'b> {
     /// `Ok(None)` only for a store with no generations at all; if
     /// generations exist but none validates, that is an error — the
     /// store is corrupt beyond fallback.
-    #[allow(clippy::type_complexity)]
     pub fn load_latest_valid<T>(
         &self,
         validate: impl Fn(&[u8]) -> Result<T>,

@@ -132,30 +132,25 @@ impl Reader<'_> {
     pub(crate) fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
+    #[expect(clippy::expect_used, reason = "take(2) returned exactly 2 bytes")]
     pub(crate) fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("len 2"), /* xlint: allow(no-panic, "take(2) returned exactly 2 bytes") */
-        ))
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
     }
+    #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
     pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("len 4"), /* xlint: allow(no-panic, "take(4) returned exactly 4 bytes") */
-        ))
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
     }
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("len 8"), /* xlint: allow(no-panic, "take(8) returned exactly 8 bytes") */
-        ))
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     pub(crate) fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("len 8"), /* xlint: allow(no-panic, "take(8) returned exactly 8 bytes") */
-        ))
+        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("len 8"), /* xlint: allow(no-panic, "take(8) returned exactly 8 bytes") */
-        ))
+        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
     pub(crate) fn str(&mut self) -> Result<String> {
         let n = self.u32()? as usize;

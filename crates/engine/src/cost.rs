@@ -22,6 +22,7 @@ use xmlest_core::{Estimator, TwigNode};
 /// Estimated cost breakdown of one plan.
 #[derive(Debug, Clone)]
 pub struct CostedPlan {
+    /// The join order being costed.
     pub plan: Plan,
     /// Estimated per-step output cardinalities (pattern matches of the
     /// sub-pattern joined so far).

@@ -131,7 +131,11 @@ impl ElementIndex {
                         items.push(Item::new(iv, NodeId(0)));
                     }
                     for shard in shards {
-                        let input = &shard.source.as_ref().expect("checked above").input; // xlint: allow(no-panic, "match arm requires all shards sourced")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "match arm requires all shards sourced"
+                        )]
+                        let input = &shard.source.as_ref().expect("checked above").input;
                         for iv in &input.entries[builtins + pos].intervals {
                             let shifted =
                                 Interval::new(iv.start + shard.offset, iv.end + shard.offset);
@@ -731,7 +735,11 @@ impl Database {
                 .map(|(i, n)| (n.as_str(), i))
                 .collect();
             for shard in &mut self.shards {
-                let src = shard.source.as_mut().expect("sources checked above"); // xlint: allow(no-panic, "loop above returned ServingOnly for any unsourced shard")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "loop above returned ServingOnly for any unsourced shard"
+                )]
+                let src = shard.source.as_mut().expect("sources checked above");
                 let mut realigned = Vec::with_capacity(new_names.len());
                 for n in &new_names {
                     realigned.push(match index_of.get(n.as_str()) {
@@ -906,7 +914,11 @@ impl Database {
     fn remove_newest_within_slack(&mut self) -> Result<()> {
         // Fail before the first mutation: drift retraction needs the
         // shard's stored classified lists, and truncation needs the tree.
-        let last = self.shards.last().expect("non-empty checked"); // xlint: allow(no-panic, "caller rejects empty shard lists before calling")
+        #[expect(
+            clippy::expect_used,
+            reason = "caller rejects empty shard lists before calling"
+        )]
+        let last = self.shards.last().expect("non-empty checked");
         if last.source.is_none() {
             return Err(Error::ServingOnly(format!(
                 "document {:?} has no stored source; its drift contribution cannot be retracted",
@@ -939,7 +951,11 @@ impl Database {
                 &self.config,
             )?)
         };
-        let offset = self.shards.last().expect("non-empty checked").offset; // xlint: allow(no-panic, "caller rejects empty shard lists before calling")
+        #[expect(
+            clippy::expect_used,
+            reason = "caller rejects empty shard lists before calling"
+        )]
+        let offset = self.shards.last().expect("non-empty checked").offset;
         let Some(tree) = self.tree.as_mut() else {
             return Err(Error::ServingOnly(
                 "database has no data tree to truncate".into(),
@@ -947,8 +963,16 @@ impl Database {
         };
         tree.truncate_last_subtree(NodeId(offset))?;
         // Commit — nothing below can fail.
-        let shard = self.shards.pop().expect("non-empty checked"); // xlint: allow(no-panic, "caller rejects empty shard lists before calling")
-        let src = shard.source.expect("source checked above"); // xlint: allow(no-panic, "source presence verified before the commit point above")
+        #[expect(
+            clippy::expect_used,
+            reason = "caller rejects empty shard lists before calling"
+        )]
+        let shard = self.shards.pop().expect("non-empty checked");
+        #[expect(
+            clippy::expect_used,
+            reason = "source presence verified before the commit point above"
+        )]
+        let src = shard.source.expect("source checked above");
         self.index.truncate_document(offset, offset as u64);
         self.maintenance
             .tracker
@@ -958,7 +982,11 @@ impl Database {
             self.summaries = Arc::new(merged);
             self.merge_state = Some(merge_state);
         } else {
-            let u = self.undo.pop_back().expect("undo_valid checked a snapshot"); // xlint: allow(no-panic, "remerged is None only when undo_valid saw a stack top; nothing above pops it")
+            #[expect(
+                clippy::expect_used,
+                reason = "remerged is None only when undo_valid saw a stack top; nothing above pops it"
+            )]
+            let u = self.undo.pop_back().expect("undo_valid checked a snapshot");
             self.summaries = u.summaries;
             self.merge_state = u.merge_state;
         }
@@ -1429,9 +1457,13 @@ impl Database {
 
     /// The data tree. Panics for catalog-opened databases — use
     /// [`Database::try_tree`] when the database may be serving-only.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking accessor; try_tree is the fallible form"
+    )]
     pub fn tree(&self) -> &XmlTree {
         self.try_tree()
-            .expect("catalog-opened database has no data tree (serving-only)") // xlint: allow(no-panic, "documented panicking accessor; try_tree is the fallible form")
+            .expect("catalog-opened database has no data tree (serving-only)")
     }
 
     /// The data tree, if this database has one.

@@ -70,6 +70,20 @@
 //! off-thread. See [`snapshot`] for the read-vs-maintenance thread
 //! contract.
 
+// Serving-crate rules (README "Lints"): no panics, and no clock, file,
+// socket or lock call from clippy.toml's lists without an `#[expect]`.
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
+
 pub mod cost;
 /// The database object: documents, catalog, indexes, summaries.
 pub mod db;

@@ -185,15 +185,24 @@ pub struct MaintenanceStats {
     pub drift_threshold: Option<f64>,
     /// Mutations since the grid was last derived.
     pub mutations_since_derive: u64,
-    /// See [`MaintenanceCounters`].
+    /// Appends that reused the grid and every existing shard summary.
     pub stable_appends: u64,
+    /// Removals of the newest document that reused grid and shards.
     pub stable_removes: u64,
+    /// Rebuilds that re-derived the grid.
     pub grid_moves: u64,
+    /// Interior removals that rebuilt every shard on the pinned grid.
     pub pinned_rebuilds: u64,
+    /// Appends that did not fit in the slack capacity.
     pub overflow_appends: u64,
+    /// Equi-depth refreshes (manual + automatic).
     pub refreshes: u64,
+    /// Refreshes fired by the drift threshold inside a mutation.
     pub auto_refreshes: u64,
+    /// Drift-triggered refreshes that failed to rebuild; the hosting
+    /// mutation still committed.
     pub failed_auto_refreshes: u64,
+    /// Drift observed when the last refresh fired.
     pub last_refresh_drift: f64,
     /// Consecutive auto-refresh failures (see
     /// [`MaintenanceCounters::refresh_strikes`]).

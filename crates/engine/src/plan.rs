@@ -12,6 +12,7 @@ use xmlest_predicate::PredExpr;
 /// A twig flattened to indexed nodes (0 = pattern root, pre-order).
 #[derive(Debug, Clone)]
 pub struct FlatTwig {
+    /// Each node's predicate, by node index.
     pub preds: Vec<PredExpr>,
     /// `(parent index, child index, axis)` per edge, pre-order.
     pub edges: Vec<(usize, usize, Axis)>,
@@ -35,7 +36,11 @@ impl FlatTwig {
     /// minimum index in the set. The set must be connected through the
     /// twig's edges. Used to estimate intermediate-result sizes.
     pub fn induced_twig(&self, nodes: &[usize]) -> TwigNode {
-        let root = *nodes.iter().min().expect("non-empty node set"); // xlint: allow(no-panic, "documented precondition: induced node sets are non-empty by construction")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: induced node sets are non-empty by construction"
+        )]
+        let root = *nodes.iter().min().expect("non-empty node set");
         self.build_node(root, nodes)
     }
 
@@ -93,6 +98,7 @@ pub enum JoinAlgorithm {
 /// An edge order forming a left-deep plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
+    /// The edges in join order.
     pub steps: Vec<PlanStep>,
 }
 

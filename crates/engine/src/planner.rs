@@ -41,8 +41,11 @@ pub(crate) const PLAN_CAP: usize = 5040;
 /// A chosen plan with its estimated and (optionally) measured behaviour.
 #[derive(Debug, Clone)]
 pub struct ExplainedPlan {
+    /// The pattern, flattened to indexed nodes.
     pub twig: FlatTwig,
+    /// The chosen plan and its estimated costs.
     pub costed: CostedPlan,
+    /// The measured run, when the plan was executed (EXPLAIN ANALYZE).
     pub execution: Option<Execution>,
 }
 
@@ -249,6 +252,11 @@ impl<'db> Planner<'db> {
     /// [`PLAN_CAP`]), shared-workspace costing, one [`CostedPlan`] per
     /// order handed to `visit`. Returns `Ok(false)` — without invoking
     /// `visit` — for edgeless patterns.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "planning, not estimate serving, holds this lock. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     fn cost_each_plan(&self, twig: &TwigNode, mut visit: impl FnMut(CostedPlan)) -> Result<bool> {
         let canonical = twig.canonicalize();
         let flat = FlatTwig::from_twig(&canonical);
@@ -257,7 +265,7 @@ impl<'db> Planner<'db> {
             return Ok(false);
         }
         let est = self.db.summaries().estimator();
-        let mut ws = self.ws.lock().expect("planner workspace lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let mut ws = self.ws.lock().expect("planner workspace lock");
         ws.reset();
         for p in &plans {
             let total = cost_plan_with(&est, &flat, p, &mut ws)?;

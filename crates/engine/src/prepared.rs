@@ -82,14 +82,19 @@ struct InternerInner {
 impl TwigInterner {
     /// Interns an **already canonical** twig, returning its stable id
     /// and the shared allocation.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     fn intern(&self, canonical: TwigNode) -> (TwigId, Arc<TwigNode>) {
         {
-            let inner = self.inner.read().expect("twig interner lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+            let inner = self.inner.read().expect("twig interner lock");
             if let Some((twig, &id)) = inner.ids.get_key_value(&canonical) {
                 return (id, twig.clone());
             }
         }
-        let mut inner = self.inner.write().expect("twig interner lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let mut inner = self.inner.write().expect("twig interner lock");
         if let Some((twig, &id)) = inner.ids.get_key_value(&canonical) {
             return (id, twig.clone());
         }
@@ -105,16 +110,26 @@ impl TwigInterner {
     /// appearance of the same pattern interns to a fresh id. No-op
     /// unless the map still binds exactly this twig to this id (guards
     /// racing release/re-intern).
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     fn release(&self, id: TwigId, twig: &Arc<TwigNode>) {
-        let mut inner = self.inner.write().expect("twig interner lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let mut inner = self.inner.write().expect("twig interner lock");
         if inner.ids.get(twig.as_ref()) == Some(&id) {
             inner.ids.remove(twig.as_ref());
         }
     }
 
     /// Number of live (unreleased) identities.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     fn len(&self) -> usize {
-        self.inner.read().expect("twig interner lock").ids.len() // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        self.inner.read().expect("twig interner lock").ids.len()
     }
 }
 
@@ -404,6 +419,11 @@ impl PreparedCache {
     /// allocations**. A stale entry re-prepares from its interned twig
     /// (no re-parse); an absent one parses, canonicalizes and interns
     /// first.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     pub(crate) fn get_or_prepare_path(
         &self,
         path: &str,
@@ -412,7 +432,7 @@ impl PreparedCache {
         resolve: ResolveFn<'_>,
     ) -> Result<Arc<PreparedQuery>> {
         let stale = {
-            let tier = self.by_path.read().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+            let tier = self.by_path.read().expect("prepared cache lock");
             match tier.map.get(path) {
                 Some(slot) if slot.entry.epoch == epoch => {
                     slot.referenced.store(true, Ordering::Relaxed);
@@ -441,8 +461,13 @@ impl PreparedCache {
     /// Side-effect-free classification of how a lookup of `path` under
     /// `epoch` *would* meet tier 1 — no counters move, no reference bit
     /// is set. Feeds [`crate::TraceReport::cache_tier`].
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     pub(crate) fn classify_path(&self, path: &str, epoch: u64) -> CacheTier {
-        let tier = self.by_path.read().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let tier = self.by_path.read().expect("prepared cache lock");
         match tier.map.get(path) {
             Some(slot) if slot.entry.epoch == epoch => CacheTier::PathHit,
             Some(_) => CacheTier::Stale,
@@ -469,6 +494,11 @@ impl PreparedCache {
     /// An epoch-valid entry for an already-interned id, re-preparing a
     /// stale or absent one. This is also the refresh path for callers
     /// holding an entry across a collection mutation.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     pub(crate) fn get_fresh_by_id(
         &self,
         id: TwigId,
@@ -477,7 +507,7 @@ impl PreparedCache {
         resolve: ResolveFn<'_>,
     ) -> Result<Arc<PreparedQuery>> {
         {
-            let map = self.by_id.read().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+            let map = self.by_id.read().expect("prepared cache lock");
             if let Some(slot) = map.get(&id) {
                 if slot.entry.epoch == epoch {
                     return Ok(slot.entry.clone());
@@ -487,7 +517,7 @@ impl PreparedCache {
         let mut fresh = resolve(id, twig)?;
         fresh.cache_id = self.cache_id;
         let built = Arc::new(fresh);
-        let mut map = self.by_id.write().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let mut map = self.by_id.write().expect("prepared cache lock");
         match map.entry(id) {
             std::collections::hash_map::Entry::Occupied(mut o) => {
                 if o.get().entry.epoch == epoch {
@@ -535,8 +565,13 @@ impl PreparedCache {
     /// here, and eviction is O(1) amortized: the hand clears reference
     /// bits as it sweeps and takes the first unreferenced slot, instead
     /// of scanning every entry for the LRU minimum.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     fn install_path(&self, path: &str, entry: Arc<PreparedQuery>) {
-        let mut tier = self.by_path.write().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let mut tier = self.by_path.write().expect("prepared cache lock");
         if let Some(slot) = tier.map.get_mut(path) {
             // Epoch refresh (same canonical id — paths parse
             // deterministically), or a racing insert of the same path.
@@ -570,13 +605,21 @@ impl PreparedCache {
         let t = &mut *tier;
         loop {
             let hand = t.hand;
-            let probed = t.map.get(&t.ring[hand]).expect("ring key is mapped"); // xlint: allow(no-panic, "ring and map are mutated together; every ring key is mapped")
+            #[expect(
+                clippy::expect_used,
+                reason = "ring and map are mutated together; every ring key is mapped"
+            )]
+            let probed = t.map.get(&t.ring[hand]).expect("ring key is mapped");
             if probed.referenced.swap(false, Ordering::Relaxed) {
                 t.hand = (hand + 1) % t.ring.len();
                 continue;
             }
             let victim_key = std::mem::replace(&mut t.ring[hand], path.to_owned());
-            let victim = t.map.remove(&victim_key).expect("just observed"); // xlint: allow(no-panic, "key was probed in the map immediately above under the same lock")
+            #[expect(
+                clippy::expect_used,
+                reason = "key was probed in the map immediately above under the same lock"
+            )]
+            let victim = t.map.remove(&victim_key).expect("just observed");
             self.evictions.inc();
             self.obs.event(
                 EventKind::CacheEviction,
@@ -593,8 +636,13 @@ impl PreparedCache {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     fn pin(&self, entry: &Arc<PreparedQuery>) {
-        let mut map = self.by_id.write().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let mut map = self.by_id.write().expect("prepared cache lock");
         map.entry(entry.id)
             .or_insert_with(|| IdSlot {
                 entry: entry.clone(),
@@ -607,12 +655,21 @@ impl PreparedCache {
     /// the tier-2 entry *and* releases the interned identity, so the
     /// interner's footprint follows the bounded cache (lock order:
     /// tier 2, then the innermost interner lock).
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     fn unpin(&self, id: TwigId) {
-        let mut map = self.by_id.write().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let mut map = self.by_id.write().expect("prepared cache lock");
         if let Some(slot) = map.get_mut(&id) {
             slot.pins = slot.pins.saturating_sub(1);
             if slot.pins == 0 {
-                let slot = map.remove(&id).expect("slot just observed"); // xlint: allow(no-panic, "id was found in the map immediately above under the same lock")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "id was found in the map immediately above under the same lock"
+                )]
+                let slot = map.remove(&id).expect("slot just observed");
                 self.interner.release(id, slot.entry.twig());
             }
         }
@@ -624,14 +681,19 @@ impl PreparedCache {
     /// concurrently-inserted path may be missing from the view (the
     /// snapshot falls back to parsing — paths parse deterministically,
     /// so the estimate is bit-identical either way), never wrong.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     pub(crate) fn frozen_twigs(&self) -> crate::snapshot::FrozenTwigs {
-        let probe = self.frozen.read().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let probe = self.frozen.read().expect("prepared cache lock");
         if let Some(frozen) = probe.as_ref() {
             return frozen.clone();
         }
         drop(probe);
         let built: crate::snapshot::FrozenTwigs = {
-            let tier = self.by_path.read().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+            let tier = self.by_path.read().expect("prepared cache lock");
             Arc::new(
                 tier.map
                     .iter()
@@ -639,7 +701,7 @@ impl PreparedCache {
                     .collect(),
             )
         };
-        *self.frozen.write().expect("prepared cache lock") = Some(built.clone()); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        *self.frozen.write().expect("prepared cache lock") = Some(built.clone());
         built
     }
 
@@ -648,16 +710,26 @@ impl PreparedCache {
     /// inside the tier locks.
     ///
     /// [`frozen_twigs`]: PreparedCache::frozen_twigs
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     fn invalidate_frozen(&self) {
-        *self.frozen.write().expect("prepared cache lock") = None; // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        *self.frozen.write().expect("prepared cache lock") = None;
     }
 
     /// Counter snapshot. Locks are taken one at a time, tier 1 first —
     /// never nested — so a snapshot can't deadlock against a concurrent
     /// `install_path` (which holds tier 1 while pinning in tier 2).
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "Database-side cache lock; snapshot reads use the frozen lock-free view. A poisoned lock means another thread already panicked; propagating is intended"
+    )]
     pub(crate) fn stats(&self) -> CacheStats {
-        let entries = self.by_path.read().expect("prepared cache lock").map.len(); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
-        let by_id = self.by_id.read().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
+        let entries = self.by_path.read().expect("prepared cache lock").map.len();
+        let by_id = self.by_id.read().expect("prepared cache lock");
         CacheStats {
             hits: self.hits.value(),
             misses: self.misses.value(),

@@ -41,7 +41,10 @@ impl PredExpr {
         PredExpr::Or(Box::new(self), Box::new(other))
     }
 
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a builder beside `and` and `or`; `std::ops::Not` would add a second spelling"
+    )]
     pub fn not(self) -> Self {
         PredExpr::Not(Box::new(self))
     }

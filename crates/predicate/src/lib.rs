@@ -18,6 +18,19 @@
 //! histogram construction and to ground-truth counting); the estimation
 //! layer never touches the tree again after that.
 
+// Serving-crate rules (README "Lints"): no panics, and no clock, file,
+// socket or lock call from clippy.toml's lists without an `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
+
 pub mod base;
 pub mod catalog;
 pub mod expr;

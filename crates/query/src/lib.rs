@@ -8,6 +8,19 @@
 //! it computes *exact* answers so estimates can be scored, and provides
 //! the physical join the optimizer schedules.
 
+// Serving-crate rules (README "Lints"): no panics, and no clock, file,
+// socket or lock call from clippy.toml's lists without an `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
+
 pub mod error;
 pub mod matcher;
 pub mod parse;

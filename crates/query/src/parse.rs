@@ -106,7 +106,11 @@ impl Parser<'_> {
         }
         // Fold right-to-left: each step becomes the sole trailing child of
         // its predecessor; every node's `axis` is the edge leading into it.
-        let mut current = steps.pop().expect("at least one step"); // xlint: allow(no-panic, "parser rejected empty paths before building steps")
+        #[expect(
+            clippy::expect_used,
+            reason = "parser rejected empty paths before building steps"
+        )]
+        let mut current = steps.pop().expect("at least one step");
         while let Some(mut parent) = steps.pop() {
             parent.children.push(current);
             current = parent;

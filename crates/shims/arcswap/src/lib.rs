@@ -28,6 +28,10 @@
 //! is bounded by the maximum number of *simultaneous* guards ever live
 //! (threads × nesting depth), not by call counts.
 
+// `load` stays lock-free: a lock call from clippy.toml's lists needs an
+// `#[expect]`, and only writer-side code has one.
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
@@ -120,7 +124,7 @@ pub struct ArcSwap<T> {
     /// Swapped-out values awaiting reclamation, each an owning pointer
     /// still protected by at least one hazard slot at its last scan.
     /// Writer-side only — the read path never touches this lock.
-    retired: Mutex<Vec<usize>>, // xlint: allow(lock-free-serving, "writer-side retire list; load() never acquires it")
+    retired: Mutex<Vec<usize>>,
 }
 
 // SAFETY: the cell hands out &T and Arc<T> across threads and drops T
@@ -233,8 +237,12 @@ impl<T> ArcSwap<T> {
 
     /// Moves a swapped-out owning pointer onto the retire list, then
     /// drops every retired pointer no hazard slot protects.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "writer-side retire list; load() never acquires it"
+    )]
     fn retire(&self, old: *const T) {
-        let locked = self.retired.lock(); // xlint: allow(lock-free-serving, "writer-side retire list; load() never acquires it")
+        let locked = self.retired.lock();
         let mut retired = match locked {
             Ok(r) => r,
             Err(poisoned) => poisoned.into_inner(),

@@ -112,7 +112,7 @@ macro_rules! impl_tuple_strategy {
     ($($s:ident),+) => {
         impl<$($s: Strategy),+> Strategy for ($($s,)+) {
             type Value = ($($s::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "strategy type parameters double as binding names")]
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($s,)+) = self;
                 ($($s.sample(rng),)+)
@@ -280,7 +280,7 @@ macro_rules! __proptest_impl {
                     let outcome: ::std::result::Result<(), $crate::TestCaseError> =
                         (|| {
                             $body
-                            #[allow(unreachable_code)]
+                            #[allow(unreachable_code, reason = "a body that always returns makes the trailing Ok dead")]
                             Ok(())
                         })();
                     if let Err(e) = outcome {

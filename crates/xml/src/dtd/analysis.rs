@@ -71,7 +71,8 @@ impl DtdAnalysis {
             .iter()
             .map(|(child, ps)| {
                 let unique = if ps.len() == 1 {
-                    Some(ps.iter().next().expect("len 1").clone()) // xlint: allow(no-panic, "branch taken only when ps.len() == 1")
+                    #[expect(clippy::expect_used, reason = "branch taken only when ps.len() == 1")]
+                    Some(ps.iter().next().expect("len 1").clone())
                 } else {
                     None
                 };

@@ -237,7 +237,8 @@ impl DtdCursor<'_> {
             (_, 1) => {
                 // A singleton group: keep the inner particle, combining
                 // quantifiers conservatively (e.g. `(a?)+` -> a*).
-                let inner = parts.pop().expect("len checked"); // xlint: allow(no-panic, "match arm requires parts.len() == 1")
+                #[expect(clippy::expect_used, reason = "match arm requires parts.len() == 1")]
+                let inner = parts.pop().expect("len checked");
                 let combined = combine_quantifiers(inner.quant, quant);
                 return Ok(ContentParticle {
                     kind: inner.kind,

@@ -90,8 +90,12 @@ impl ForestBuilder {
                 self.builder.text(tree.text(node).unwrap_or(""));
             }
             crate::tree::NodeKind::Element(_) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "match arm guarantees an Element node, which always has a tag"
+                )]
                 self.builder
-                    .open(tree.tag_name(node).expect("element has a tag")); // xlint: allow(no-panic, "match arm guarantees an Element node, which always has a tag")
+                    .open(tree.tag_name(node).expect("element has a tag"));
                 for attr in tree.attributes(node) {
                     self.builder.attr(&attr.name, &attr.value)?;
                 }

@@ -16,6 +16,19 @@
 //! `u.start < v.start && u.end >= v.end`. Position histograms in
 //! `xmlest-core` are built over exactly these pairs.
 
+// Serving-crate rules (README "Lints"): no panics, and no clock, file,
+// socket or lock call from clippy.toml's lists without an `#[expect]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
+
 pub mod dtd;
 pub mod error;
 pub mod forest;

@@ -352,7 +352,11 @@ impl<'a> Cursor<'a> {
             while matches!(self.peek(), Some(c) if c.is_ascii_hexdigit()) {
                 self.pos += 1;
             }
-            let digits = std::str::from_utf8(&self.input[dstart..self.pos]).unwrap(); // xlint: allow(no-panic, "every byte in the range passed is_ascii_hexdigit; ASCII is valid UTF-8")
+            #[expect(
+                clippy::unwrap_used,
+                reason = "every byte in the range passed is_ascii_hexdigit; ASCII is valid UTF-8"
+            )]
+            let digits = std::str::from_utf8(&self.input[dstart..self.pos]).unwrap();
             self.expect(";")?;
             let code = u32::from_str_radix(digits, if hex { 16 } else { 10 })
                 .map_err(|_| Error::parse("bad character reference", start))?;

@@ -37,7 +37,11 @@ fn write_node(tree: &XmlTree, node: NodeId, opts: WriteOptions, depth: usize, ou
             newline(opts, out);
         }
         NodeKind::Element(_) => {
-            let name = tree.tag_name(node).expect("element has a tag"); // xlint: allow(no-panic, "match arm guarantees an Element node, which always has a tag")
+            #[expect(
+                clippy::expect_used,
+                reason = "match arm guarantees an Element node, which always has a tag"
+            )]
+            let name = tree.tag_name(node).expect("element has a tag");
             indent(opts, depth, out);
             out.push('<');
             out.push_str(name);

@@ -1,11 +1,16 @@
 //! Monotonic timestamps for span timing.
 //!
 //! This module is the **only** place in `xobs` allowed to call
-//! `Instant::now()` — enforced by xlint R7 (`metrics-discipline`),
-//! which confines raw wall-clock reads so every warm-path timing goes
-//! through [`crate::Recorder`] spans and stays auditable from one
-//! file. Everything else in the crate handles opaque [`Timestamp`]
-//! values and nanosecond deltas.
+//! `Instant::now()` — enforced by `clippy::disallowed_methods` (the
+//! root `clippy.toml` lists the clock reads), which confines raw
+//! wall-clock reads so every warm-path timing goes through
+//! [`crate::Recorder`] spans and stays auditable from one file.
+//! Everything else in the crate handles opaque [`Timestamp`] values and
+//! nanosecond deltas.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned clock read for span timing"
+)]
 
 use std::time::Instant;
 

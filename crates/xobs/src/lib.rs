@@ -5,8 +5,9 @@
 //! # Design: why sharded, why log buckets, why a seqlock journal
 //!
 //! The engine's warm estimate path is wait-free and zero-alloc
-//! (enforced by `tests/alloc_discipline.rs` and xlint rule R6), so
-//! everything that records on that path must be too:
+//! (enforced by `tests/alloc_discipline.rs` and, for locks, by
+//! `clippy::disallowed_methods`), so everything that records on that
+//! path must be too:
 //!
 //! - **Counters** ([`Counter`]) are split into [`SHARDS`] cache-padded
 //!   `AtomicU64` cells. Each thread picks a shard once (round-robin at
@@ -41,9 +42,23 @@
 //!
 //! Registration (creating a named counter/histogram) takes a write
 //! lock and may allocate — it is a cold, startup-time operation. The
-//! typed registry requires a non-empty doc string for every metric;
-//! xlint rule R7 (`metrics-discipline`) enforces the same contract
-//! lexically across the workspace.
+//! typed registry stores an empty doc string as `(undocumented)`;
+//! `tests/lint_policy.rs` checks that no metric the engine registers
+//! ends up with it.
+
+// Serving-crate rules (README "Lints"): no panics, and no clock, file,
+// socket or lock call from clippy.toml's lists without an `#[expect]`.
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::disallowed_types
+)]
 
 pub mod clock;
 
@@ -685,13 +700,13 @@ pub struct MetricDesc {
     /// Prometheus-style metric name (`snake_case`, `_total` suffix for
     /// counters, `_ns` suffix for histograms).
     pub name: &'static str,
-    /// One-line help text; the typed registry rejects empty docs.
+    /// One-line help text; `(undocumented)` when registered with none.
     pub doc: &'static str,
 }
 
 /// The typed metric registry: every counter and histogram is created
-/// through it with a static name and a **non-empty doc string** (xlint
-/// R7 enforces the same rule lexically). Registration is idempotent —
+/// through it with a static name and a **non-empty doc string**
+/// (`tests/lint_policy.rs` checks the engine's). Registration is idempotent —
 /// re-registering a name returns a handle to the existing metric, so
 /// components constructed twice against one recorder share state.
 /// Registration locks and may allocate (cold path only); recording
@@ -710,15 +725,15 @@ impl Registry {
     }
 
     /// Registers (or looks up) the named counter. An empty `doc` marks
-    /// the metric `(undocumented)` — and fails xlint R7 at the call
-    /// site, which is the real enforcement.
+    /// the metric `(undocumented)`, which `tests/lint_policy.rs` rejects
+    /// for every metric the engine registers.
     pub fn counter(&self, name: &'static str, doc: &'static str) -> Counter {
         let doc = if doc.is_empty() {
             "(undocumented)"
         } else {
             doc
         };
-        let mut reg = read_write(&self.counters); // xlint: allow(lock-free-serving, "metric registration is a cold startup-path operation; warm-path recording goes through the returned handle")
+        let mut reg = read_write(&self.counters);
         if let Some((_, c)) = reg.iter().find(|(d, _)| d.name == name) {
             return c.clone();
         }
@@ -735,7 +750,7 @@ impl Registry {
         } else {
             doc
         };
-        let mut reg = read_write(&self.histograms); // xlint: allow(lock-free-serving, "metric registration is a cold startup-path operation; warm-path recording goes through the returned handle")
+        let mut reg = read_write(&self.histograms);
         if let Some((_, h)) = reg.iter().find(|(d, _)| d.name == name) {
             return h.clone();
         }
@@ -747,7 +762,7 @@ impl Registry {
     /// Folded samples of every registered counter, in registration
     /// order.
     pub fn counter_samples(&self) -> Vec<CounterSample> {
-        let reg = read_shared(&self.counters); // xlint: allow(lock-free-serving, "snapshot/export path, never on the warm estimate path")
+        let reg = read_shared(&self.counters);
         reg.iter()
             .map(|(d, c)| CounterSample {
                 name: d.name,
@@ -760,7 +775,7 @@ impl Registry {
     /// Folded snapshots of every registered histogram, in registration
     /// order.
     pub fn histogram_samples(&self) -> Vec<HistogramSample> {
-        let reg = read_shared(&self.histograms); // xlint: allow(lock-free-serving, "snapshot/export path, never on the warm estimate path")
+        let reg = read_shared(&self.histograms);
         reg.iter()
             .map(|(d, h)| HistogramSample {
                 name: d.name,
@@ -773,8 +788,12 @@ impl Registry {
 
 /// Poison-tolerant write guard: a panicked registrant cannot brick
 /// telemetry for everyone else.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "registration lock helper; cold path only"
+)]
 fn read_write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    let guard = lock.write(); // xlint: allow(lock-free-serving, "registration lock helper; cold path only")
+    let guard = lock.write();
     match guard {
         Ok(g) => g,
         Err(poison) => poison.into_inner(),
@@ -782,8 +801,12 @@ fn read_write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 }
 
 /// Poison-tolerant read guard; see [`read_write`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "snapshot/export lock helper; cold path only"
+)]
 fn read_shared<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    let guard = lock.read(); // xlint: allow(lock-free-serving, "snapshot lock helper; cold path only")
+    let guard = lock.read();
     match guard {
         Ok(g) => g,
         Err(poison) => poison.into_inner(),
@@ -902,13 +925,13 @@ impl Recorder {
     /// Registers (or looks up) a named counter; see
     /// [`Registry::counter`].
     pub fn counter(&self, name: &'static str, doc: &'static str) -> Counter {
-        self.inner.registry.counter(name, doc) // xlint: allow(metrics-discipline, "delegation: forwards the caller's literals, where R7 is enforced")
+        self.inner.registry.counter(name, doc)
     }
 
     /// Registers (or looks up) a named histogram; see
     /// [`Registry::histogram`].
     pub fn histogram(&self, name: &'static str, doc: &'static str) -> LatencyHistogram {
-        self.inner.registry.histogram(name, doc) // xlint: allow(metrics-discipline, "delegation: forwards the caller's literals, where R7 is enforced")
+        self.inner.registry.histogram(name, doc)
     }
 
     /// Journals one structured event (dropped when disabled).
