@@ -13,8 +13,11 @@ pub mod baseline;
 use xmlest_core::{Summaries, SummaryConfig};
 use xmlest_datagen::dblp::{generate as gen_dblp, DblpOptions};
 use xmlest_datagen::dept::{generate_dept, paper_dtd, DeptOptions};
+use xmlest_datagen::shakespeare::{generate as gen_play, ShakespeareOptions};
+use xmlest_datagen::xmark::{generate as gen_xmark, XmarkOptions};
 use xmlest_predicate::selection::define_decade_predicates;
 use xmlest_predicate::{BasePredicate, Catalog};
+use xmlest_xml::serialize::{to_xml_string, WriteOptions};
 use xmlest_xml::XmlTree;
 
 /// A ready-to-measure workload.
@@ -78,6 +81,40 @@ pub fn dept_workload(target_nodes: usize) -> Workload {
     catalog.define_all_tags(&tree);
     let config = SummaryConfig::paper_defaults().with_dtd(paper_dtd().analyze());
     Workload::build("dept", tree, catalog, &config)
+}
+
+/// A mixed document window like the end-to-end benchmark's: document
+/// `k` comes from the dblp, XMark, Shakespeare or dept generator in
+/// turn (`k % 4`), at that benchmark's sizes and with its per-document
+/// seeds, serialized to XML as `(name, xml)` pairs.
+pub fn mixed_window(seed: u64, docs: usize) -> Vec<(String, String)> {
+    (0..docs)
+        .map(|k| {
+            let s = seed.wrapping_mul(1_000_003).wrapping_add(k as u64);
+            let tree = match k % 4 {
+                0 => gen_dblp(&DblpOptions {
+                    seed: s,
+                    records: 200,
+                }),
+                1 => gen_xmark(&XmarkOptions {
+                    seed: s,
+                    items: 60,
+                    people: 40,
+                    auctions: 30,
+                }),
+                2 => gen_play(&ShakespeareOptions { seed: s, plays: 1 }),
+                _ => generate_dept(&DeptOptions {
+                    seed: s,
+                    target_nodes: 1_500,
+                    max_depth: 12,
+                }),
+            };
+            (
+                format!("doc{k:06}"),
+                to_xml_string(&tree, WriteOptions::default()),
+            )
+        })
+        .collect()
 }
 
 /// Default scales used by the benches (kept moderate so `cargo bench`

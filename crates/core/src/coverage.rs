@@ -47,6 +47,7 @@
 //! materializes the composition only when an owned result is requested.
 
 use crate::grid::{Cell, Grid};
+use crate::position_histogram::{CellAccumulator, PositionHistogram};
 use std::collections::{BTreeMap, BTreeSet};
 use xmlest_xml::Interval;
 
@@ -99,48 +100,156 @@ fn partial_indexes(partial: &[((Cell, Cell), f64)], g: u16) -> (Vec<u32>, Vec<u3
     (covered_rows, covering_order)
 }
 
-/// Precomputed denominator state shared by every coverage build over
-/// the same node population: each node's grid cell in document order,
-/// plus the sorted per-cell totals. Building it is one `O(n log n)`
-/// pass; each predicate's [`CoverageHistogram::build_in`] then touches
-/// only the nodes its own intervals actually cover instead of
-/// re-bucketing the whole document — the all-entries shard build used
-/// to pay `O(entries × nodes)` here.
-pub struct CoverageContext {
-    /// Node interval starts in document order (non-decreasing — a
-    /// parent can share its start with its first child under the
-    /// min-descendant labeling).
-    starts: Vec<u32>,
-    /// Node interval ends, parallel to `starts`.
-    ends: Vec<u32>,
-    /// Grid cell of each node, parallel to `starts`.
+/// Denominator state shared by every coverage build over one node
+/// population: each node's grid cell, and the per-cell node totals (the
+/// population's TRUE histogram), counted in the same single pass. Each
+/// predicate's [`CoverageHistogram::build_in`] then touches only the
+/// nodes under its own intervals instead of re-bucketing the document,
+/// and reads its own intervals' cells from here.
+///
+/// Node ids are pre-order positions, so in a tree's labeling node `k`
+/// starts at position `base + k`, and the descendants of a covering
+/// interval are the index range its positions name — found by
+/// arithmetic, with no search. A population not numbered that way
+/// (hand-built inputs where a parent shares its first child's start) is
+/// walked with a monotone cursor instead.
+pub struct CoverageContext<'a> {
+    /// Node intervals in document order.
+    nodes: &'a [Interval],
+    /// Whether node `k` starts at position `nodes[0].start + k`.
+    numbered: bool,
+    /// Shift from node positions to grid positions.
+    offset: u32,
+    /// Grid cell of each node, parallel to `nodes`.
     cells: Vec<Cell>,
-    /// Per-cell node totals, sorted by cell.
-    totals: Vec<(Cell, u64)>,
-    /// The grid the cells were bucketed on (consistency checks only).
-    g: u16,
+    /// Per-cell node totals: the population's TRUE histogram.
+    totals: PositionHistogram,
 }
 
-impl CoverageContext {
+impl<'a> CoverageContext<'a> {
     /// Buckets `all_nodes` (every node of the tree, document order) on
     /// `grid` once, for any number of per-predicate coverage builds.
-    pub fn new(grid: &Grid, all_nodes: &[Interval]) -> Self {
+    pub fn new(grid: &Grid, all_nodes: &'a [Interval]) -> Self {
+        Self::shifted(grid, all_nodes, 0, &mut CellAccumulator::default())
+    }
+
+    /// [`CoverageContext::new`] over a shard's local intervals, bucketed
+    /// at their mega-tree positions `offset` further on. Builds against
+    /// it take intervals in the same local positions.
+    pub(crate) fn shifted(
+        grid: &Grid,
+        nodes: &'a [Interval],
+        offset: u32,
+        acc: &mut CellAccumulator,
+    ) -> Self {
         debug_assert!(
-            all_nodes.windows(2).all(|w| w[0].start <= w[1].start),
+            nodes.windows(2).all(|w| w[0].start <= w[1].start),
             "node intervals must be in document order"
         );
-        let starts: Vec<u32> = all_nodes.iter().map(|iv| iv.start).collect();
-        let ends: Vec<u32> = all_nodes.iter().map(|iv| iv.end).collect();
-        let cells: Vec<Cell> = all_nodes.iter().map(|&iv| grid.cell_of(iv)).collect();
-        let mut sorted = cells.clone();
-        sorted.sort_unstable();
-        let totals = run_lengths(&sorted);
+        let numbered = nodes.first().is_some_and(|first| {
+            let base = first.start as u64;
+            nodes
+                .iter()
+                .enumerate()
+                .all(|(k, iv)| iv.start as u64 == base + k as u64)
+        });
+        acc.start(grid.g());
+        // Document order makes start buckets non-decreasing, and an end
+        // never precedes its start: both searches start from a known
+        // bucket and usually stop there.
+        let (mut last_start, mut last_bucket) = (0u32, 0u16);
+        let cells = nodes
+            .iter()
+            .map(|iv| {
+                let (start, end) = (iv.start + offset, iv.end + offset);
+                let i = if start >= last_start {
+                    grid.bucket_from(start, last_bucket)
+                } else {
+                    grid.bucket_of(start)
+                };
+                (last_start, last_bucket) = (start, i);
+                let cell = (i, grid.bucket_from(end, i));
+                acc.add(cell, 1.0);
+                cell
+            })
+            .collect();
         CoverageContext {
-            starts,
-            ends,
+            nodes,
+            numbered,
+            offset,
             cells,
-            totals,
-            g: grid.g(),
+            totals: PositionHistogram::from_counted(grid.clone(), acc),
+        }
+    }
+
+    /// Consumes the context, keeping its per-cell node totals: the
+    /// population's TRUE histogram.
+    pub fn into_totals(self) -> PositionHistogram {
+        self.totals
+    }
+
+    /// The grid cell of `iv`, read from the node it labels when it is
+    /// one of the population's nodes, bucketed otherwise.
+    #[inline]
+    pub(crate) fn cell(&self, grid: &Grid, iv: Interval) -> Cell {
+        if self.numbered {
+            let k = iv.start.wrapping_sub(self.nodes[0].start) as usize;
+            if self.nodes.get(k) == Some(&iv) {
+                return self.cells[k];
+            }
+        }
+        grid.cell_of(Interval::new(iv.start + self.offset, iv.end + self.offset))
+    }
+
+    /// Index of the first node at or after index `from` that starts
+    /// after position `pos`.
+    #[inline]
+    fn first_after(&self, pos: u32, from: usize) -> usize {
+        let n = self.nodes.len();
+        if self.numbered {
+            let base = self.nodes.first().map_or(0, |iv| iv.start as u64);
+            let k = (pos as u64 + 1).saturating_sub(base).min(n as u64) as usize;
+            k.max(from)
+        } else {
+            let mut k = from;
+            while k < n && self.nodes[k].start <= pos {
+                k += 1;
+            }
+            k
+        }
+    }
+}
+
+/// Reusable scratch for coverage builds (see [`CellAccumulator`] for
+/// why builds share one).
+#[derive(Debug, Default)]
+pub(crate) struct CoverageScratch {
+    /// Border counts under the current covering cell `(m, n)`: slot
+    /// `j - m` for the row border `(m, j)`, slot `n - m + i - m` for the
+    /// column border `(i, n)` with `i > m`. The covering cells of
+    /// disjoint intervals span bucket ranges that share at most an end
+    /// bucket, so the arrays one build zeroes add up to O(g) slots.
+    border: Vec<u32>,
+    /// Border pairs `((covered, covering), nodes)`.
+    pairs: Vec<((Cell, Cell), u32)>,
+    /// Covering cells in the order their intervals arrived.
+    covering: Vec<Cell>,
+}
+
+impl CoverageScratch {
+    /// Moves the current covering cell's non-zero border counts into
+    /// `pairs`, in covered-cell order.
+    fn flush(&mut self, (m, n): Cell) {
+        let w = (n - m) as usize;
+        for (slot, &count) in self.border.iter().enumerate() {
+            if count > 0 {
+                let covered = if slot <= w {
+                    (m, m + slot as u16)
+                } else {
+                    (m + (slot - w) as u16, n)
+                };
+                self.pairs.push(((covered, (m, n)), count));
+            }
         }
     }
 }
@@ -149,7 +258,7 @@ impl CoverageHistogram {
     /// Builds the coverage histogram from data.
     ///
     /// * `all_nodes` — intervals of **every** node in the tree (the TRUE
-    ///   predicate), the denominator population;
+    ///   predicate), the denominator population, in document order;
     /// * `p_intervals` — intervals of the `P`-nodes, sorted by start and
     ///   pairwise disjoint (the caller guarantees no-overlap).
     ///
@@ -162,76 +271,106 @@ impl CoverageHistogram {
     }
 
     /// [`CoverageHistogram::build`] against a prebuilt denominator
-    /// context (same grid). Cost is `O(p log n + covered)` — the nodes
-    /// under the predicate's intervals, not the whole document.
+    /// context (same grid, intervals in the same positions as its
+    /// nodes). Cost is `O(p + covered)` — the nodes under the
+    /// predicate's intervals, not the whole document.
     pub fn build_in(grid: Grid, ctx: &CoverageContext, p_intervals: &[Interval]) -> Self {
-        debug_assert_eq!(ctx.g, grid.g(), "context bucketed on another grid");
+        Self::count_in(grid, ctx, p_intervals, &mut CoverageScratch::default())
+    }
+
+    /// [`CoverageHistogram::build_in`] with caller-owned scratch.
+    ///
+    /// Counts, not sorts. Disjoint intervals in document order have
+    /// non-decreasing cells (each ends before the next starts), so the
+    /// intervals of one covering cell arrive together and the covering
+    /// set comes out sorted. Each interval's descendants are its index
+    /// range in the context; only nodes on the covering cell's row or
+    /// column border are counted — Theorem 2's stored pairs — while a
+    /// node strictly inside the span is covered exactly once, which the
+    /// kernels account as an implicit 1. Only the `O(g)` distinct border
+    /// pairs are then put in `(covered, covering)` order.
+    pub(crate) fn count_in(
+        grid: Grid,
+        ctx: &CoverageContext,
+        p_intervals: &[Interval],
+        scratch: &mut CoverageScratch,
+    ) -> Self {
+        debug_assert_eq!(
+            ctx.totals.grid().g(),
+            grid.g(),
+            "context bucketed on another grid"
+        );
         debug_assert!(
             p_intervals.windows(2).all(|w| w[0].end < w[1].start),
             "predicate intervals must be disjoint and sorted (no-overlap)"
         );
-        let mut covering_cells: Vec<Cell> =
-            p_intervals.iter().map(|iv| grid.cell_of(*iv)).collect();
-        covering_cells.sort_unstable();
-        covering_cells.dedup();
-
-        // A node's unique P-ancestor is the last P-interval starting
-        // strictly before it that still encloses it; inverted, each
-        // P-interval's descendants are a contiguous run of the
-        // document-ordered starts. Walking only those runs yields the
-        // same (node cell, ancestor cell) pair multiset the old
-        // whole-document scan produced — disjointness makes the runs
-        // non-overlapping and in document order.
-        let mut pairs: Vec<(Cell, Cell)> = Vec::new();
-        for p in p_intervals {
-            let pcell = grid.cell_of(*p);
-            let lo = ctx.starts.partition_point(|&s| s <= p.start);
-            let hi = ctx.starts.partition_point(|&s| s <= p.end);
-            for i in lo..hi {
-                // The end check mirrors `is_ancestor_of` exactly; for
-                // properly nested tree labels it never fails.
-                if p.end >= ctx.ends[i] {
-                    pairs.push((ctx.cells[i], pcell));
+        scratch.pairs.clear();
+        scratch.covering.clear();
+        let mut current: Option<Cell> = None;
+        let (mut cursor, mut last_start) = (0usize, 0u32);
+        for &p in p_intervals {
+            let acell = ctx.cell(&grid, p);
+            if current != Some(acell) {
+                if let Some(prev) = current {
+                    scratch.flush(prev);
+                }
+                current = Some(acell);
+                scratch.covering.push(acell);
+                scratch.border.clear();
+                scratch
+                    .border
+                    .resize(2 * (acell.1 - acell.0) as usize + 1, 0);
+            }
+            let (m, n) = acell;
+            let w = (n - m) as usize;
+            if p.start < last_start {
+                cursor = 0;
+            }
+            last_start = p.start;
+            let lo = ctx.first_after(p.start, cursor);
+            let hi = ctx.first_after(p.end, lo);
+            cursor = lo;
+            for d in lo..hi {
+                // The end check mirrors `is_ancestor_of`; for properly
+                // nested tree labels it never fails.
+                if ctx.nodes[d].end > p.end {
+                    continue;
+                }
+                let (i, j) = ctx.cells[d];
+                if i == m {
+                    scratch.border[(j - m) as usize] += 1;
+                } else if j == n {
+                    scratch.border[w + (i - m) as usize] += 1;
                 }
             }
         }
-        pairs.sort_unstable();
-
-        let totals = &ctx.totals;
-        let covered = run_lengths(&pairs);
-
-        // Store only the border pairs; interior pairs must come out as
-        // exactly 1 and are reconstructed geometrically.
-        let mut partial = Vec::new();
-        for ((dcell, acell), cnt) in covered {
-            #[expect(
-                clippy::expect_used,
-                reason = "every covered pair's cell was pushed into dcells in the same pass; totals always contains it"
-            )]
-            let t_idx = totals
-                .binary_search_by_key(&dcell, |&(c, _)| c)
-                .expect("covered cell has population");
-            let frac = cnt as f64 / totals[t_idx].1 as f64;
-            let strictly_inside = acell.0 < dcell.0 && dcell.1 < acell.1;
-            if strictly_inside {
-                debug_assert!(
-                    (frac - 1.0).abs() < 1e-12,
-                    "interior coverage must be 1, got {frac} for {dcell:?} in {acell:?}"
-                );
-            } else {
-                partial.push(((dcell, acell), frac));
-            }
+        if let Some(prev) = current {
+            scratch.flush(prev);
         }
 
-        let (covered_rows, covering_order) = partial_indexes(&partial, grid.g());
-        let out = CoverageHistogram {
-            grid,
-            covering_cells,
-            partial,
-            covered_rows,
-            covering_order,
-            covering_scale: Vec::new(),
-        };
+        // A covering cell seen in two separate runs (only intervals out
+        // of document order do that) repeats its cell and border pairs.
+        let pairs = &mut scratch.pairs;
+        pairs.sort_unstable_by_key(|&(key, _)| key);
+        pairs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        if !scratch.covering.windows(2).all(|w| w[0] < w[1]) {
+            scratch.covering.sort_unstable();
+            scratch.covering.dedup();
+        }
+
+        let partial: Vec<((Cell, Cell), f64)> = pairs
+            .iter()
+            .map(|&((covered, covering), count)| {
+                ((covered, covering), count as f64 / ctx.totals.get(covered))
+            })
+            .collect();
+        let out = Self::from_sorted(grid, scratch.covering.to_vec(), partial, Vec::new());
         crate::invariants::checkpoint("CoverageHistogram::build", || out.validate());
         out
     }
@@ -452,32 +591,34 @@ impl CoverageHistogram {
         partial: BTreeMap<(Cell, Cell), f64>,
         covering_scale: BTreeMap<Cell, f64>,
     ) -> Self {
-        // The ordered collections arrive sorted; collecting keeps the
-        // binary-search invariants. The derived merge orders are rebuilt
-        // rather than persisted.
-        let partial: Vec<((Cell, Cell), f64)> = partial.into_iter().collect();
+        Self::from_sorted(
+            grid,
+            covering_cells.into_iter().collect(),
+            partial.into_iter().collect(),
+            covering_scale.into_iter().collect(),
+        )
+    }
+
+    /// [`Self::from_parts`] from parts already in their storage order:
+    /// covering cells and scales sorted by cell, the partial table by
+    /// `(covered, covering)`. The derived merge orders are rebuilt
+    /// rather than persisted.
+    pub(crate) fn from_sorted(
+        grid: Grid,
+        covering_cells: Vec<Cell>,
+        partial: Vec<((Cell, Cell), f64)>,
+        covering_scale: Vec<(Cell, f64)>,
+    ) -> Self {
         let (covered_rows, covering_order) = partial_indexes(&partial, grid.g());
         CoverageHistogram {
             grid,
-            covering_cells: covering_cells.into_iter().collect(),
+            covering_cells,
             partial,
             covered_rows,
             covering_order,
-            covering_scale: covering_scale.into_iter().collect(),
+            covering_scale,
         }
     }
-}
-
-/// Run-length encodes a sorted slice into `(value, count)` pairs.
-fn run_lengths<T: Copy + PartialEq>(sorted: &[T]) -> Vec<(T, u64)> {
-    let mut out: Vec<(T, u64)> = Vec::new();
-    for &v in sorted {
-        match out.last_mut() {
-            Some((last, n)) if *last == v => *n += 1,
-            _ => out.push((v, 1)),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! [`crate::ph_join::JoinWorkspace`] directly.
 
 use crate::compound::{estimate_expr_histogram, HistResolver};
-use crate::coverage::{CoverageContext, CoverageHistogram};
+use crate::coverage::{CoverageContext, CoverageHistogram, CoverageScratch};
 use crate::error::{Error, Result};
 use crate::grid::Grid;
 use crate::naive;
@@ -25,7 +25,7 @@ use crate::no_overlap::{
 };
 use crate::parent_child::{parent_child_correction, LevelHistogram};
 use crate::ph_join::Basis;
-use crate::position_histogram::PositionHistogram;
+use crate::position_histogram::{CellAccumulator, PositionHistogram};
 use crate::regrid::GridPolicy;
 use crate::twig::{Axis, TwigNode};
 use rayon::prelude::*;
@@ -214,7 +214,6 @@ impl Summaries {
             }
         }
         let grid = Self::make_grid(tree, &matches, config)?;
-        let true_hist = PositionHistogram::from_intervals(grid.clone(), &all_intervals);
         let cvg_ctx = CoverageContext::new(&grid, &all_intervals);
 
         // Fan the independent per-predicate builds out across cores.
@@ -222,14 +221,24 @@ impl Summaries {
         let preds: BTreeMap<String, PredicateSummary> = jobs
             .par_iter()
             .map(|&(k, (name, pred))| {
-                let s = build_one(tree, &grid, &cvg_ctx, name, pred, &matches[k], config);
+                let mut scratch = BuildScratch::default();
+                let s = build_one(
+                    tree,
+                    &grid,
+                    &cvg_ctx,
+                    name,
+                    pred,
+                    &matches[k],
+                    config,
+                    &mut scratch,
+                );
                 (name.clone(), s)
             })
             .collect();
 
         let out = Summaries {
             grid,
-            true_hist,
+            true_hist: cvg_ctx.into_totals(),
             preds,
             dtd: config.dtd.clone(),
             tree_nodes: tree.len() as u64,
@@ -482,9 +491,23 @@ impl Summaries {
     }
 }
 
+/// Scratch one thread reuses across per-predicate builds, so a build
+/// allocates only what its summary keeps.
+#[derive(Debug, Default)]
+pub(crate) struct BuildScratch {
+    /// Position-histogram cell counts.
+    pub(crate) cells: CellAccumulator,
+    /// Coverage border counts.
+    pub(crate) coverage: CoverageScratch,
+}
+
 /// Builds one predicate's complete summary (histogram, overlap property,
 /// coverage, levels) from its already-classified node list (document
 /// order). Pure function of its inputs — safe to run on any thread.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a distinct build input; a struct would only rename them"
+)]
 fn build_one(
     tree: &XmlTree,
     grid: &Grid,
@@ -493,12 +516,15 @@ fn build_one(
     pred: &BasePredicate,
     nodes: &[NodeId],
     config: &SummaryConfig,
+    scratch: &mut BuildScratch,
 ) -> PredicateSummary {
     let intervals: Vec<_> = nodes.iter().map(|&n| tree.interval(n)).collect();
     let levels = config
         .build_levels
         .then(|| LevelHistogram::from_nodes(tree, nodes));
-    build_one_from_intervals(grid, cvg_ctx, name, pred, &intervals, levels, config)
+    build_one_from_intervals(
+        grid, cvg_ctx, name, pred, &intervals, levels, config, scratch,
+    )
 }
 
 /// The tree-free core of [`build_one`]: everything after classification
@@ -507,8 +533,13 @@ fn build_one(
 /// shared grid without touching any tree. `cvg_ctx` is the whole-tree
 /// node population bucketed on `grid` (hoisted by the caller so its
 /// cost amortizes across every predicate); `intervals` must be in
-/// document order; `levels`, when provided, must already use the target
-/// tree's depth numbering.
+/// document order, in the same positions as the context's nodes (a
+/// shard's local positions); `levels`, when provided, must already use
+/// the target tree's depth numbering.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a distinct build input; a struct would only rename them"
+)]
 pub(crate) fn build_one_from_intervals(
     grid: &Grid,
     cvg_ctx: &CoverageContext,
@@ -517,8 +548,13 @@ pub(crate) fn build_one_from_intervals(
     intervals: &[xmlest_xml::Interval],
     levels: Option<LevelHistogram>,
     config: &SummaryConfig,
+    scratch: &mut BuildScratch,
 ) -> PredicateSummary {
-    let hist = PositionHistogram::from_intervals(grid.clone(), intervals);
+    let hist = PositionHistogram::count_cells(
+        grid.clone(),
+        intervals.iter().map(|&iv| cvg_ctx.cell(grid, iv)),
+        &mut scratch.cells,
+    );
 
     // Overlap property: DTD knowledge for tag predicates when available,
     // otherwise detected from the data (exact).
@@ -529,8 +565,9 @@ pub(crate) fn build_one_from_intervals(
         _ => label::no_overlap(intervals),
     };
 
-    let cvg = (config.build_coverage && no_overlap && !intervals.is_empty())
-        .then(|| CoverageHistogram::build_in(grid.clone(), cvg_ctx, intervals));
+    let cvg = (config.build_coverage && no_overlap && !intervals.is_empty()).then(|| {
+        CoverageHistogram::count_in(grid.clone(), cvg_ctx, intervals, &mut scratch.coverage)
+    });
     let avg_width = if intervals.is_empty() {
         0.0
     } else {

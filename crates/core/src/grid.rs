@@ -122,6 +122,22 @@ impl Grid {
         (idx.saturating_sub(1) as u16).min(self.g() - 1)
     }
 
+    /// [`Self::bucket_of`] for a position at or after the start of
+    /// bucket `from`: constant time when the position is still in that
+    /// bucket, a search of the later boundaries otherwise.
+    #[inline]
+    pub(crate) fn bucket_from(&self, pos: u32, from: u16) -> u16 {
+        if self.uniform_width.is_some() {
+            return self.bucket_of(pos);
+        }
+        let next = from as usize + 1;
+        if next + 1 >= self.boundaries.len() || pos < self.boundaries[next] {
+            return from;
+        }
+        let idx = next + self.boundaries[next + 1..].partition_point(|&b| b <= pos);
+        (idx as u16).min(self.g() - 1)
+    }
+
     /// The cell an interval falls into.
     pub fn cell_of(&self, iv: Interval) -> Cell {
         (self.bucket_of(iv.start), self.bucket_of(iv.end))
@@ -207,6 +223,26 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bucket_from_agrees_with_bucket_of() {
+        let mut sorted: Vec<u32> = (0..200).map(|p| p * p % 997).collect();
+        sorted.sort_unstable();
+        let grids = [
+            Grid::uniform(7, 996).unwrap(),
+            Grid::equi_depth(1, &sorted, 996).unwrap(),
+            Grid::equi_depth(13, &sorted, 996).unwrap(),
+            Grid::equi_depth(128, &sorted, 1_200).unwrap(),
+        ];
+        for grid in &grids {
+            for pos in (0..1_300).step_by(3) {
+                let want = grid.bucket_of(pos);
+                for from in 0..=want {
+                    assert_eq!(grid.bucket_from(pos, from), want, "pos {pos} from {from}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn uniform_buckets_cover_space() {

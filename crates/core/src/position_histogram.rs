@@ -153,8 +153,7 @@ impl FlatHistogram {
         }
     }
 
-    /// Rebuilds `row_offsets` from sorted `entries` in one pass. Used
-    /// after bulk loads that write `entries` directly.
+    /// Rebuilds `row_offsets` from sorted `entries` in one pass.
     fn rebuild_offsets(&mut self) {
         let g = self.rows() as usize;
         self.row_offsets.iter_mut().for_each(|o| *o = 0);
@@ -164,25 +163,6 @@ impl FlatHistogram {
         for i in 0..g {
             self.row_offsets[i + 1] += self.row_offsets[i];
         }
-    }
-
-    /// Bulk-loads from cells that may repeat and arrive unsorted: sorts
-    /// once, then accumulates runs in place. `O(n log n)`, no per-cell
-    /// tree or hash operations. The sort is stable, so values of one
-    /// cell accumulate in input order (bit-identical totals to a
-    /// map-based accumulation).
-    pub fn bulk_load(&mut self, g: u16, cells: &mut [(Cell, f64)]) {
-        cells.sort_by_key(|&(c, _)| c);
-        self.clear(g);
-        self.entries.reserve(cells.len());
-        for &(cell, v) in cells.iter() {
-            match self.entries.last_mut() {
-                Some((last, acc)) if *last == cell => *acc += v,
-                _ => self.entries.push((cell, v)),
-            }
-        }
-        self.entries.retain(|&(_, v)| v.abs() > f64::EPSILON);
-        self.rebuild_offsets();
     }
 
     /// Multiplies every entry by `factor` in place. Entries that land
@@ -265,6 +245,128 @@ impl FlatHistogram {
     }
 }
 
+/// Counts `(cell, value)` items into a [`FlatHistogram`], with no sort.
+///
+/// Items of one start-bucket row add into a dense per-column array, and
+/// a bitset of the touched columns emits the row's cells in column order
+/// when the row changes. A document-ordered interval list has
+/// non-decreasing start buckets, and so do the shards of a collection
+/// taken in position order, so for them that one pass is the whole
+/// build. Rows that arrive out of order are regrouped by
+/// [`Self::finish`]: a counting sort of the finished runs on their row,
+/// stable so that each cell's values still add in arrival order, and one
+/// more counting pass. Either way the result's entry list has exactly the
+/// capacity it needs.
+///
+/// One accumulator serves any number of builds; the shard builder and
+/// the merge reuse theirs, which keeps each build to the allocations of
+/// its result.
+#[derive(Debug, Default)]
+pub(crate) struct CellAccumulator {
+    /// Per-column sums of the current row; all zero between rows.
+    cols: Vec<f64>,
+    /// Bitset over the columns the current row touched.
+    touched: Vec<u64>,
+    /// The row items are adding into.
+    row: Option<u16>,
+    /// Whether rows have arrived in non-decreasing order so far.
+    in_order: bool,
+    /// Finished rows' cells, in arrival order.
+    staged: Vec<(Cell, f64)>,
+}
+
+impl CellAccumulator {
+    /// Starts a build on a `g`-row grid.
+    pub(crate) fn start(&mut self, g: u16) {
+        let g = g as usize;
+        self.cols.clear();
+        self.cols.resize(g, 0.0);
+        self.touched.clear();
+        self.touched.resize(g.div_ceil(64), 0);
+        self.row = None;
+        self.in_order = true;
+        self.staged.clear();
+    }
+
+    /// Adds `value` to `cell`.
+    #[inline]
+    pub(crate) fn add(&mut self, (i, j): Cell, value: f64) {
+        match self.row {
+            Some(r) if r == i => {}
+            Some(r) => {
+                self.flush_row(r);
+                self.in_order &= r < i;
+                self.row = Some(i);
+            }
+            None => self.row = Some(i),
+        }
+        self.cols[j as usize] += value;
+        self.touched[j as usize / 64] |= 1 << (j % 64);
+    }
+
+    /// Emits row `i`'s touched columns in order and zeroes them.
+    fn flush_row(&mut self, i: u16) {
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let v = std::mem::take(&mut self.cols[j]);
+                if v.abs() > f64::EPSILON {
+                    self.staged.push(((i, j as u16), v));
+                }
+            }
+        }
+    }
+
+    /// Ends the build: the counted cells as exact-capacity storage.
+    pub(crate) fn finish(&mut self) -> FlatHistogram {
+        if let Some(r) = self.row.take() {
+            self.flush_row(r);
+        }
+        if !self.in_order {
+            self.regroup();
+        }
+        let mut row_offsets = vec![0u32; self.cols.len() + 1];
+        for &((i, _), _) in &self.staged {
+            row_offsets[i as usize + 1] += 1;
+        }
+        for i in 1..row_offsets.len() {
+            row_offsets[i] += row_offsets[i - 1];
+        }
+        FlatHistogram {
+            entries: self.staged.as_slice().to_vec(),
+            row_offsets,
+        }
+    }
+
+    /// Stable counting sort of the staged cells on their row, then a
+    /// second count that adds a cell's runs in their arrival order.
+    fn regroup(&mut self) {
+        let mut next = vec![0usize; self.cols.len() + 1];
+        for &((i, _), _) in &self.staged {
+            next[i as usize + 1] += 1;
+        }
+        for i in 1..next.len() {
+            next[i] += next[i - 1];
+        }
+        let mut regrouped = vec![((0, 0), 0.0); self.staged.len()];
+        for &item in &self.staged {
+            let slot = &mut next[item.0 .0 as usize];
+            regrouped[*slot] = item;
+            *slot += 1;
+        }
+        self.staged.clear();
+        self.in_order = true;
+        for (cell, v) in regrouped {
+            self.add(cell, v);
+        }
+        if let Some(r) = self.row.take() {
+            self.flush_row(r);
+        }
+    }
+}
+
 /// A sparse 2-D histogram over `(start-bucket, end-bucket)` cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PositionHistogram {
@@ -285,19 +387,37 @@ impl PositionHistogram {
     }
 
     /// Builds the histogram for a list of node intervals (the nodes
-    /// matching one predicate). Batched: buckets every interval, sorts
-    /// once, accumulates runs — no per-interval map lookups.
+    /// matching one predicate), in any order. Counted, not sorted: a
+    /// document-ordered list is one pass (see `CellAccumulator`).
     pub fn from_intervals(grid: Grid, intervals: &[Interval]) -> Self {
-        let mut cells: Vec<(Cell, f64)> = intervals
-            .iter()
-            .map(|&iv| (grid.cell_of(iv), 1.0))
-            .collect();
-        let mut flat = FlatHistogram::new(grid.g());
-        flat.bulk_load(grid.g(), &mut cells);
-        let total = intervals.len() as f64;
-        let out = PositionHistogram { grid, flat, total };
+        let cells = intervals.iter().map(|&iv| grid.cell_of(iv));
+        Self::count_cells(grid.clone(), cells, &mut CellAccumulator::default())
+    }
+
+    /// Counts one node per cell of `cells` into a histogram on `grid`,
+    /// with a caller-owned accumulator.
+    pub(crate) fn count_cells(
+        grid: Grid,
+        cells: impl Iterator<Item = Cell>,
+        acc: &mut CellAccumulator,
+    ) -> Self {
+        acc.start(grid.g());
+        for cell in cells {
+            acc.add(cell, 1.0);
+        }
+        let out = Self::from_counted(grid, acc);
         crate::invariants::checkpoint("PositionHistogram::from_intervals", || out.validate());
         out
+    }
+
+    /// Finishes `acc`'s build as a histogram on `grid`.
+    pub(crate) fn from_counted(grid: Grid, acc: &mut CellAccumulator) -> Self {
+        let flat = acc.finish();
+        PositionHistogram {
+            grid,
+            total: flat.total(),
+            flat,
+        }
     }
 
     /// The grid this histogram is bucketed on.

@@ -16,8 +16,8 @@
 //!    document that is already in the collection.
 //! 2. **Build one shard per document** ([`build_shard_summaries`]): given
 //!    the document's global *position offset* and the collection-wide
-//!    grid, the classified lists shift into mega-tree coordinates and
-//!    build a full [`Summaries`] for just that document (histograms,
+//!    grid, the classified lists are bucketed at their mega-tree
+//!    positions and build a full [`Summaries`] for just that document (histograms,
 //!    coverage, levels) — pure functions of the interval lists, fanned
 //!    out across documents with `rayon` by the engine.
 //! 3. **Merge the shards** ([`merge_shards`]): per-predicate
@@ -54,13 +54,15 @@
 //! the new grid, and re-merge — never re-parsing or re-classifying the
 //! rest of the collection.
 
-use crate::coverage::CoverageContext;
-use crate::error::Result;
-use crate::estimator::{build_one_from_intervals, PredicateSummary, Summaries, SummaryConfig};
+use crate::coverage::{CoverageContext, CoverageHistogram};
+use crate::error::{Error, Result};
+use crate::estimator::{
+    build_one_from_intervals, BuildScratch, PredicateSummary, Summaries, SummaryConfig,
+};
 use crate::grid::{Cell, Grid};
 use crate::parent_child::LevelHistogram;
-use crate::position_histogram::PositionHistogram;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::position_histogram::{CellAccumulator, PositionHistogram};
+use std::collections::BTreeMap;
 use xmlest_predicate::{BasePredicate, Catalog};
 use xmlest_xml::{Interval, XmlTree};
 
@@ -196,6 +198,12 @@ pub fn classify_document(tree: &XmlTree, catalog: &Catalog) -> DocumentSummaryIn
         }
     }
 
+    // The lists grew by doubling, and the engine keeps them for the
+    // document's lifetime: give back the slack.
+    for e in &mut entries {
+        e.intervals.shrink_to_fit();
+        e.level_counts.shrink_to_fit();
+    }
     DocumentSummaryInput {
         node_count: tree.len() as u32,
         all_intervals,
@@ -203,16 +211,10 @@ pub fn classify_document(tree: &XmlTree, catalog: &Catalog) -> DocumentSummaryIn
     }
 }
 
-/// Shifts a local interval by a document's global position offset.
-#[inline]
-fn shift(iv: Interval, offset: u32) -> Interval {
-    Interval::new(iv.start + offset, iv.end + offset)
-}
-
 /// Builds one document's summary shard on the collection-wide grid:
-/// the classified local lists shift by `offset` into mega-tree
-/// coordinates and run through the same per-predicate build as the
-/// monolithic path. The result is a complete [`Summaries`] over just
+/// the classified local lists are bucketed with `offset` applied (their
+/// mega-tree positions) and run through the same per-predicate build as
+/// the monolithic path. The result is a complete [`Summaries`] over just
 /// this document's nodes (its TRUE histogram counts only them), directly
 /// usable for per-document estimation and as a [`merge_shards`] operand.
 pub fn build_shard_summaries(
@@ -224,32 +226,35 @@ pub fn build_shard_summaries(
 ) -> Summaries {
     let entry_list = Summaries::entry_list(catalog);
     debug_assert_eq!(entry_list.len(), input.entries.len(), "catalog drift");
-    let all_shifted: Vec<Interval> = input
-        .all_intervals
-        .iter()
-        .map(|&iv| shift(iv, offset))
-        .collect();
-    let true_hist = PositionHistogram::from_intervals(grid.clone(), &all_shifted);
+    let mut scratch = BuildScratch::default();
     // One denominator pass for every predicate's coverage build — the
     // per-entry cost below is proportional to each predicate's own
-    // matches, not the whole document.
-    let cvg_ctx = CoverageContext::new(grid, &all_shifted);
+    // matches, not the whole document. It also counts the TRUE
+    // histogram.
+    let cvg_ctx = CoverageContext::shifted(grid, &input.all_intervals, offset, &mut scratch.cells);
 
     let mut preds = BTreeMap::new();
     for (k, (name, pred)) in entry_list.iter().enumerate() {
         let e = &input.entries[k];
-        let shifted: Vec<Interval> = e.intervals.iter().map(|&iv| shift(iv, offset)).collect();
         let levels = config
             .build_levels
             .then(|| LevelHistogram::from_counts(e.level_counts.clone()));
-        let summary =
-            build_one_from_intervals(grid, &cvg_ctx, name, pred, &shifted, levels, config);
+        let summary = build_one_from_intervals(
+            grid,
+            &cvg_ctx,
+            name,
+            pred,
+            &e.intervals,
+            levels,
+            config,
+            &mut scratch,
+        );
         preds.insert(name.clone(), summary);
     }
 
     let out = Summaries {
         grid: grid.clone(),
-        true_hist,
+        true_hist: cvg_ctx.into_totals(),
         preds,
         dtd: config.dtd.clone(),
         tree_nodes: input.node_count as u64,
@@ -333,14 +338,14 @@ pub(crate) struct EntryMergeState {
     /// **excluding** the mega-root's term (which is re-applied last on
     /// every merge, exactly as the full merge does).
     width_sum: f64,
-    /// Union of the shards' covering cells (coverage fold).
-    covering: BTreeSet<Cell>,
-    /// Raw covered-node counts per border pair, accumulated in shard
-    /// order — the numerators the merged coverage fractions are divided
-    /// from. Maintained only while the merged entry is no-overlap (once
-    /// the flag drops it can never rise again, except under a DTD
-    /// override, where it is constant).
-    covered_counts: BTreeMap<(Cell, Cell), f64>,
+    /// Union of the shards' covering cells (coverage fold), sorted.
+    covering: Vec<Cell>,
+    /// Raw covered-node counts per border pair, sorted by `(covered,
+    /// covering)` and accumulated in shard order — the numerators the
+    /// merged coverage fractions are divided from. Maintained only while
+    /// the merged entry is no-overlap (once the flag drops it can never
+    /// rise again, except under a DTD override, where it is constant).
+    covered_counts: Vec<((Cell, Cell), f64)>,
 }
 
 /// Merges per-document shard summaries (all built by
@@ -420,11 +425,11 @@ fn merge_shards_impl(
 
     // TRUE histogram: root + cell-wise sums. Built first — every
     // per-predicate coverage merge normalizes against it.
-    let mut true_hist = PositionHistogram::empty(grid.clone());
-    true_hist.set(root_cell, 1.0);
-    for s in shards {
-        true_hist = true_hist.plus(s.true_hist())?;
-    }
+    let true_hist = fold_hists(
+        grid,
+        &[(root_cell, 1.0)],
+        shards.iter().map(|s| s.true_hist()),
+    )?;
 
     type MergedEntry = (String, PredicateSummary, EntryMergeState);
     let merge_one = |entry: &(String, BasePredicate)| -> Result<MergedEntry> {
@@ -496,12 +501,8 @@ pub fn merge_delta(
     // TRUE histogram: the previous fold already holds the root's 1.0 at
     // the old root cell; move it (exact integer subtract/add) and fold
     // in the new shard.
-    let mut true_hist = prev.true_hist().clone();
-    if old_root_cell != root_cell {
-        true_hist.add(old_root_cell, -1.0);
-        true_hist.add(root_cell, 1.0);
-    }
-    let true_hist = true_hist.plus(new_shard.true_hist())?;
+    let root_move = root_move(old_root_cell, root_cell);
+    let true_hist = fold_hists(grid, &root_move, [prev.true_hist(), new_shard.true_hist()])?;
 
     let mut preds: BTreeMap<String, PredicateSummary> = BTreeMap::new();
     let mut out_state = MergeState::default();
@@ -563,29 +564,24 @@ fn delta_entry(
 
     // Resume the fold: previous accumulators, or the fold's initial
     // value for an entry the previous merge did not have.
-    struct Resumed {
-        hist: PositionHistogram,
+    struct Resumed<'p> {
+        hist: Option<&'p PositionHistogram>,
         count: u64,
         width_sum: f64,
         no_overlap: bool,
         level_counts: Vec<f64>,
-        covering: BTreeSet<Cell>,
-        covered_counts: BTreeMap<(Cell, Cell), f64>,
+        covering: Vec<Cell>,
+        covered_counts: Vec<((Cell, Cell), f64)>,
     }
-    let resumed = match prev.get(name) {
+    let (resumed, root_cells) = match prev.get(name) {
         Some(pp) => {
             let Some(es) = state.entries.get(name) else {
-                return Err(crate::error::Error::Corrupt(format!(
+                return Err(Error::Corrupt(format!(
                     "merge state lacks entry {name:?} present in the merged view"
                 )));
             };
-            let mut hist = pp.hist.clone();
-            if root_match && old_root_cell != root_cell {
-                hist.add(old_root_cell, -1.0);
-                hist.add(root_cell, 1.0);
-            }
-            Resumed {
-                hist,
+            let resumed = Resumed {
+                hist: Some(&pp.hist),
                 count: pp.count,
                 width_sum: es.width_sum,
                 no_overlap: pp.no_overlap,
@@ -596,36 +592,36 @@ fn delta_entry(
                     .unwrap_or_default(),
                 covering: es.covering.clone(),
                 covered_counts: es.covered_counts.clone(),
-            }
+            };
+            (resumed, root_move(old_root_cell, root_cell))
         }
         None => {
-            let mut hist = PositionHistogram::empty(grid.clone());
-            if root_match {
-                hist.set(root_cell, 1.0);
-            }
             let mut level_counts = vec![0.0; usize::from(root_match)];
             if root_match {
                 level_counts[0] = 1.0;
             }
-            Resumed {
-                hist,
+            let resumed = Resumed {
+                hist: None,
                 count: u64::from(root_match),
                 width_sum: 0.0,
                 // Vacuously true: `all` over no parts (and a shard count
                 // of zero for root-matching entries).
                 no_overlap: true,
                 level_counts,
-                covering: BTreeSet::new(),
-                covered_counts: BTreeMap::new(),
-            }
+                covering: Vec::new(),
+                covered_counts: Vec::new(),
+            };
+            (resumed, vec![(root_cell, 1.0)])
         }
     };
 
-    // Histogram, count, width: fold in the new part.
-    let hist = match new_part {
-        Some(p) => resumed.hist.plus(&p.hist)?,
-        None => resumed.hist,
-    };
+    // Histogram: the resumed fold (with the root moved), then the new
+    // part, in one counting pass.
+    let hist = fold_hists(
+        grid,
+        if root_match { &root_cells } else { &[] },
+        resumed.hist.into_iter().chain(new_part.map(|p| &p.hist)),
+    )?;
     let count = resumed.count + new_part.map_or(0, |p| p.count);
     let width_sum = resumed.width_sum + new_part.map_or(0.0, |p| p.avg_width * p.count as f64);
     let avg_width = if count == 0 {
@@ -668,19 +664,15 @@ fn delta_entry(
     let (covering, covered_counts) = if config.build_coverage && no_overlap && !root_match {
         let mut covering = resumed.covering;
         let mut counts = resumed.covered_counts;
-        if let Some(cvg) = new_part.and_then(|p| p.cvg.as_ref()) {
-            covering.extend(cvg.covering_cells());
-            for ((covered, acell), frac) in cvg.iter_partial() {
-                let shard_total = new_shard.true_hist().get(covered);
-                counts
-                    .entry((covered, acell))
-                    .and_modify(|c| *c += frac * shard_total)
-                    .or_insert(frac * shard_total);
-            }
-        }
+        let new_cvg = new_part.and_then(|p| p.cvg.as_ref());
+        fold_coverage(
+            &mut covering,
+            &mut counts,
+            new_cvg.map(|cvg| (new_shard, cvg)),
+        );
         (covering, counts)
     } else {
-        (BTreeSet::new(), BTreeMap::new())
+        (Vec::new(), Vec::new())
     };
 
     let cvg = (config.build_coverage && no_overlap && count > 0)
@@ -755,14 +747,10 @@ fn merge_entry(
         .filter_map(|s| s.get(name).map(|p| (*s, p)))
         .collect();
 
-    // Histogram: root contribution + cell-wise sums.
-    let mut hist = PositionHistogram::empty(grid.clone());
-    if root_match {
-        hist.set(root_cell, 1.0);
-    }
-    for (_, p) in &parts {
-        hist = hist.plus(&p.hist)?;
-    }
+    // Histogram: root contribution + cell-wise sums, in one counting
+    // pass over the parts.
+    let root: &[(Cell, f64)] = if root_match { &[(root_cell, 1.0)] } else { &[] };
+    let hist = fold_hists(grid, root, parts.iter().map(|(_, p)| &p.hist))?;
 
     let shard_count: u64 = parts.iter().map(|(_, p)| p.count).sum();
     let count = shard_count + u64::from(root_match);
@@ -804,11 +792,13 @@ fn merge_entry(
     // whenever the merged entry is no-overlap so a later delta step can
     // resume it — once the flag drops it never rises again (the DTD
     // override is constant), so no state is lost by skipping.
-    let (covering, covered_counts) = if config.build_coverage && no_overlap && !root_match {
-        fold_coverage_state(&parts)
-    } else {
-        (BTreeSet::new(), BTreeMap::new())
-    };
+    let (mut covering, mut covered_counts) = (Vec::new(), Vec::new());
+    if config.build_coverage && no_overlap && !root_match {
+        let cvgs = parts
+            .iter()
+            .filter_map(|&(s, p)| p.cvg.as_ref().map(|cvg| (s, cvg)));
+        fold_coverage(&mut covering, &mut covered_counts, cvgs);
+    }
 
     let cvg = (config.build_coverage && no_overlap && count > 0)
         .then(|| {
@@ -858,27 +848,70 @@ fn merge_entry(
     ))
 }
 
-/// The coverage fold: union of covering cells and raw covered-node
-/// counts per border pair, accumulated in shard order. A shard's stored
-/// value is a fraction of its *own* population; its TRUE histogram
-/// recovers the covered count exactly.
-fn fold_coverage_state(
-    parts: &[(&Summaries, &PredicateSummary)],
-) -> (BTreeSet<Cell>, BTreeMap<(Cell, Cell), f64>) {
-    let mut covering: BTreeSet<Cell> = BTreeSet::new();
-    let mut counts: BTreeMap<(Cell, Cell), f64> = BTreeMap::new();
-    for (shard, p) in parts {
-        let Some(cvg) = &p.cvg else { continue };
+/// Counts a histogram fold in one pass: the mega-root's cells first
+/// (they sit in row 0), then each part's cells in part order. Shards in
+/// position order arrive with non-decreasing rows, so the
+/// [`CellAccumulator`] needs no regrouping; cell counts are integers, so
+/// any order gives the same bits.
+fn fold_hists<'h>(
+    grid: &Grid,
+    root: &[(Cell, f64)],
+    parts: impl IntoIterator<Item = &'h PositionHistogram>,
+) -> Result<PositionHistogram> {
+    let mut acc = CellAccumulator::default();
+    acc.start(grid.g());
+    for &(cell, v) in root {
+        acc.add(cell, v);
+    }
+    for h in parts {
+        if h.grid() != grid {
+            return Err(Error::GridMismatch);
+        }
+        for &(cell, v) in h.flat().entries() {
+            acc.add(cell, v);
+        }
+    }
+    Ok(PositionHistogram::from_counted(grid.clone(), &mut acc))
+}
+
+/// The mega-root's cell move as histogram deltas: none when the root
+/// keeps its cell.
+fn root_move(old: Cell, new: Cell) -> Vec<(Cell, f64)> {
+    if old == new {
+        Vec::new()
+    } else {
+        vec![(old, -1.0), (new, 1.0)]
+    }
+}
+
+/// The coverage fold: extends the sorted covering union and the sorted
+/// raw covered-node counts per border pair with each part, in part
+/// order. A shard's stored value is a fraction of its *own* population;
+/// its TRUE histogram recovers the covered count exactly. The counts are
+/// floating point, so each pair's terms add in shard order: the stable
+/// sort keeps them in arrival order, which is shard order.
+fn fold_coverage<'s>(
+    covering: &mut Vec<Cell>,
+    counts: &mut Vec<((Cell, Cell), f64)>,
+    parts: impl IntoIterator<Item = (&'s Summaries, &'s CoverageHistogram)>,
+) {
+    for (shard, cvg) in parts {
         covering.extend(cvg.covering_cells());
         for ((covered, acell), frac) in cvg.iter_partial() {
             let shard_total = shard.true_hist().get(covered);
-            counts
-                .entry((covered, acell))
-                .and_modify(|c| *c += frac * shard_total)
-                .or_insert(frac * shard_total);
+            counts.push(((covered, acell), frac * shard_total));
         }
     }
-    (covering, counts)
+    covering.sort_unstable();
+    covering.dedup();
+    counts.sort_by_key(|&(key, _)| key);
+    counts.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
 }
 
 /// The coverage division pass: collection-wide fractions from folded
@@ -889,26 +922,25 @@ fn fold_coverage_state(
 fn coverage_from_state(
     grid: &Grid,
     merged_true: &PositionHistogram,
-    covering: &BTreeSet<Cell>,
-    counts: &BTreeMap<(Cell, Cell), f64>,
+    covering: &[Cell],
+    counts: &[((Cell, Cell), f64)],
 ) -> Option<CoverageOut> {
-    let g = grid.g();
     if covering.is_empty() {
         return None;
     }
-    let mut partial = BTreeMap::new();
-    for (&(covered, acell), &cnt) in counts {
-        debug_assert!(covered.1 < g && acell.1 < g);
+    let mut partial = Vec::with_capacity(counts.len());
+    for &((covered, acell), cnt) in counts {
+        debug_assert!(covered.1 < grid.g() && acell.1 < grid.g());
         let total = merged_true.get(covered);
         if total > 0.0 && cnt > 0.0 {
-            partial.insert((covered, acell), cnt / total);
+            partial.push(((covered, acell), cnt / total));
         }
     }
-    Some(crate::coverage::CoverageHistogram::from_parts(
+    Some(CoverageHistogram::from_sorted(
         grid.clone(),
-        covering.clone(),
+        covering.to_vec(),
         partial,
-        BTreeMap::new(),
+        Vec::new(),
     ))
 }
 
@@ -923,7 +955,7 @@ fn root_coverage(
     merged_true: &PositionHistogram,
     root_cell: Cell,
 ) -> Option<CoverageOut> {
-    let mut partial = BTreeMap::new();
+    let mut partial = Vec::new();
     for (cell, total) in merged_true.iter() {
         let border = cell.0 == root_cell.0 || cell.1 == root_cell.1;
         if !border {
@@ -935,19 +967,18 @@ fn root_coverage(
             total
         };
         if covered > 0.0 {
-            partial.insert((cell, root_cell), covered / total);
+            partial.push(((cell, root_cell), covered / total));
         }
     }
-    let covering: BTreeSet<Cell> = std::iter::once(root_cell).collect();
-    Some(crate::coverage::CoverageHistogram::from_parts(
+    Some(CoverageHistogram::from_sorted(
         grid.clone(),
-        covering,
+        vec![root_cell],
         partial,
-        BTreeMap::new(),
+        Vec::new(),
     ))
 }
 
-type CoverageOut = crate::coverage::CoverageHistogram;
+type CoverageOut = CoverageHistogram;
 
 #[cfg(test)]
 mod tests {

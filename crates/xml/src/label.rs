@@ -83,10 +83,24 @@ pub fn check_containment(intervals: &[Interval]) -> bool {
 
 /// True when no interval in the set is nested inside another — the
 /// *no-overlap* property of Definition 2 of the paper.
+///
+/// A document-ordered list (every classified match list) is checked in
+/// place: it has the property iff each interval ends before the next one
+/// starts. Only a list out of document order is copied and sorted.
 pub fn no_overlap(intervals: &[Interval]) -> bool {
-    let mut sorted: Vec<Interval> = intervals.to_vec();
-    sorted.sort();
-    sorted.windows(2).all(|w| w[0].end < w[1].start)
+    for w in intervals.windows(2) {
+        if w[0].end < w[1].start {
+            continue;
+        }
+        if w[0].start <= w[1].start {
+            // Two intervals of the set share a position.
+            return false;
+        }
+        let mut sorted: Vec<Interval> = intervals.to_vec();
+        sorted.sort();
+        return sorted.windows(2).all(|w| w[0].end < w[1].start);
+    }
+    true
 }
 
 #[cfg(test)]
@@ -156,5 +170,10 @@ mod tests {
         assert!(no_overlap(&flat));
         let nested = [Interval::new(1, 6), Interval::new(2, 3)];
         assert!(!no_overlap(&nested));
+        // Out of document order: decided on a sorted copy.
+        let shuffled = [flat[2], flat[0], flat[1]];
+        assert!(no_overlap(&shuffled));
+        let nested_late = [flat[2], Interval::new(2, 2), Interval::new(1, 3)];
+        assert!(!no_overlap(&nested_late));
     }
 }

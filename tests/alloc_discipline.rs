@@ -6,9 +6,10 @@
 //! warmed [`TwigWorkspace`].
 //!
 //! A counting global allocator records every `alloc`/`realloc`; the
-//! warm-path assertions then demand an exact zero delta. This file holds
-//! a single test so no concurrent test case can allocate on another
-//! thread mid-measurement.
+//! warm-path assertions then demand an exact zero delta. It also tracks
+//! live heap bytes, so a data-built histogram can be held to the memory
+//! its cells need. This file holds a single test so no concurrent test
+//! case can allocate on another thread mid-measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,6 +27,7 @@ use xmlest::xml::Interval;
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: pure pass-through to `System` plus a relaxed-free atomic
 // counter; every GlobalAlloc contract obligation is delegated intact.
@@ -34,6 +36,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // the same layout to `System` untouched.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::SeqCst);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -41,6 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller guarantees `ptr` came from this allocator with
     // `layout`; `System` performed the original allocation.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::SeqCst);
         // SAFETY: `ptr`/`layout` pair is the one `System.alloc` returned.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -49,6 +53,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // allocation and `new_size` is valid per the GlobalAlloc contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        LIVE_BYTES.fetch_add(new_size, Ordering::SeqCst);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::SeqCst);
         // SAFETY: forwarded verbatim; `System` owns the allocation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -61,8 +67,32 @@ fn allocation_count() -> usize {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+fn live_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::SeqCst)
+}
+
 #[test]
 fn warm_join_kernels_allocate_nothing() {
+    // ---- a data-built histogram retains what its cells need ----
+    //
+    // 10,000 leaves in one cell make one entry. The histogram may keep
+    // that entry, its row offsets and its grid, but no room sized to the
+    // input list (10,000 reserved 16-byte entries would be 160 KB).
+    let grid = Grid::uniform(8, 79_999).unwrap();
+    let same_cell: Vec<Interval> = (0..10_000).map(|p| Interval::new(p, p)).collect();
+    let mut retained = usize::MAX;
+    for _ in 0..3 {
+        let before = live_bytes();
+        let h = PositionHistogram::from_intervals(grid.clone(), &same_cell);
+        retained = retained.min(live_bytes().saturating_sub(before));
+        assert_eq!(h.non_zero_cells(), 1);
+        assert_eq!(h.total(), 10_000.0);
+    }
+    assert!(
+        retained < 1024,
+        "a one-cell histogram retains {retained} heap bytes"
+    );
+
     // A realistic nested workload on a 64-bucket grid: containers
     // spanning several buckets plus leaf descendants everywhere.
     let grid = Grid::uniform(64, 4095).unwrap();
