@@ -332,6 +332,69 @@ fn v3_catalog_fixture_skips_coefficients_and_keeps_estimates() {
     assert_v3_estimates(&again, "v4 re-save");
 }
 
+/// A version 4 catalog saved with a DRIFT section: a slack-policy
+/// collection after three appends and two removals. CHANGES.md records
+/// how it was generated.
+const V4_FIXTURE: &[u8] = include_bytes!("fixtures/catalog_v4.bin");
+
+/// Section kind of the drift-tracker rows.
+const SEC_DRIFT: u8 = 5;
+
+/// The `f64` bits each path estimated to in the database that saved
+/// [`V4_FIXTURE`].
+const V4_ESTIMATES: [(&str, u64); 7] = [
+    ("//sec//p", 0x401f555555555555),
+    ("//sec//sec", 0x400aaaaaaaaaaaaa),
+    ("//sec//sec//p", 0x40021c71c71c71c7),
+    ("//doc//sec", 0x4010aaaaaaaaaaab),
+    ("//sec[.//fig]//p", 0x4013000000000000),
+    ("//doc//note//p", 0x3ff0000000000000),
+    ("//sec//note", 0x3ffc000000000000),
+];
+
+fn assert_v4_estimates(db: &Database, what: &str) {
+    for (path, bits) in V4_ESTIMATES {
+        let got = db.estimate(path).unwrap().value;
+        assert_eq!(
+            got.to_bits(),
+            bits,
+            "{what} {path}: {got} vs {}",
+            f64::from_bits(bits)
+        );
+    }
+}
+
+/// A **version 4** catalog carrying a DRIFT section opens under both
+/// modes with a clean report and estimates to the bits its writer
+/// served; its re-save reopens to the same bits.
+#[test]
+fn v4_catalog_fixture_with_drift_keeps_estimates() {
+    assert_eq!(&V4_FIXTURE[..4], b"XCTL");
+    assert_eq!(version(V4_FIXTURE), 4);
+    let drift = frames(V4_FIXTURE)
+        .into_iter()
+        .find(|(kind, _)| *kind == SEC_DRIFT)
+        .expect("the fixture has a DRIFT section")
+        .1;
+    assert!(!drift.is_empty());
+
+    let strict = Database::open_catalog(V4_FIXTURE).expect("strict open");
+    let (lenient, report) = Database::open_catalog_degraded(V4_FIXTURE).expect("lenient open");
+    assert!(report.is_clean(), "{report:?}");
+    for (db, what) in [(&strict, "strict"), (&lenient, "lenient")] {
+        assert_eq!(
+            db.document_names(),
+            vec!["c.xml", "d.xml", "e.xml", "f.xml"]
+        );
+        assert_v4_estimates(db, what);
+    }
+
+    let resaved = strict.save_catalog();
+    assert_eq!(version(&resaved), 4);
+    let again = Database::open_catalog(&resaved).expect("re-save opens");
+    assert_v4_estimates(&again, "re-save");
+}
+
 /// A catalog saved by the **version 1** format (bytes produced by the
 /// pre-maintenance code and checked in as a fixture) must still open:
 /// the grid policy defaults to `Static` — exactly the behavior the
