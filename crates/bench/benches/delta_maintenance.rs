@@ -1,16 +1,12 @@
-//! Delta-maintenance benchmarks: the incremental merge against the full
-//! fold it replaces, and the append round trip it serves.
+//! Delta-maintenance benchmark: the incremental merge a stable append
+//! runs against the full fold it replaces.
 //!
 //! * `delta_merge` — core-level: extending an n-shard merged view by
 //!   one new shard via [`merge_delta`] (O(new-document cells)) versus
 //!   re-folding all n+1 shards with [`merge_shards_stateful`] (O(total
 //!   non-zero cells)). The delta arm is flat in n; the full arm grows
-//!   linearly.
-//! * `delta_append` — engine-level: the `add_document` +
-//!   `remove_document` round trip on the slack-stable path, now routed
-//!   through the delta merge. Directly comparable to
-//!   `grid_append/stable` in `BENCH_regrid.json` (the pre-delta
-//!   baseline was a flat ~0.6 ms; the delta path is microseconds).
+//!   linearly. The engine-level slide that runs it is `grid_append`
+//!   in `BENCH_regrid.json`.
 //!
 //! Run with `XMLEST_BENCH_JSON=BENCH_delta.json cargo bench --bench
 //! delta_maintenance` to capture the numbers (CI does).
@@ -34,8 +30,8 @@ fn collection(n: usize, records: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Slack wide enough that the benched append always fits; the huge
-/// threshold (with auto off) keeps the measurement to the append path.
+/// A slack policy with auto-refresh off, so the load builds the padded
+/// grid an appending collection serves on.
 fn slack() -> GridPolicy {
     GridPolicy::Slack {
         slack_percent: 100,
@@ -103,28 +99,5 @@ fn bench_delta_merge(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_delta_append(c: &mut Criterion) {
-    const RECORDS: usize = 60;
-    let extra = doc_xml(999, RECORDS);
-    let mut group = c.benchmark_group("delta_append");
-    for n in [4usize, 8, 16, 32] {
-        let docs = collection(n, RECORDS);
-        let mut db = load(&docs, slack());
-        group.bench_with_input(BenchmarkId::new("stable", n), &n, |b, _| {
-            b.iter(|| {
-                db.add_document("extra.xml", black_box(&extra)).unwrap();
-                db.remove_document("extra.xml").unwrap();
-            })
-        });
-        let s = db.telemetry().maintenance;
-        assert_eq!(s.grid_moves, 0, "stable loop must never move the grid");
-        eprintln!(
-            "delta_append/{n}: stable_appends {} stable_removes {} drift {:.4}",
-            s.stable_appends, s.stable_removes, s.drift,
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_delta_merge, bench_delta_append);
+criterion_group!(benches, bench_delta_merge);
 criterion_main!(benches);

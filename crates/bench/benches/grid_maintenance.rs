@@ -1,15 +1,16 @@
-//! Grid maintenance benchmarks: the slack-capacity stable append versus
-//! the grid-moving rebuild, and the cost of an equi-depth refresh.
+//! Grid maintenance benchmarks: one slide of a sliding window under each
+//! grid policy, and the cost of an equi-depth refresh.
 //!
-//! * `grid_append` — one `add_document` + `remove_document` round trip
-//!   of a ~fixed-size document against collections of growing size:
-//!   **stable** runs under `GridPolicy::Slack` (the append builds one
-//!   shard on the existing grid and reuses every other shard summary
-//!   verbatim; the removal truncates in place), **moving** runs under
-//!   `GridPolicy::Static` (every mutation re-derives the grid and
-//!   re-buckets every shard). The stable path's cost is O(new document)
-//!   and flat in the collection size; the moving path grows linearly —
-//!   the acceptance bar is a clear margin at every size.
+//! * `grid_append` — one slide per iteration, as perfbench's `ingest`
+//!   stream runs it without its refresh: append the next document, then
+//!   remove the oldest, on windows of growing size. **stable** runs
+//!   under `GridPolicy::Slack`: the append builds one shard on the
+//!   existing grid and delta-merges it, reusing every other shard
+//!   summary verbatim, and the removal re-buckets the survivors on the
+//!   pinned grid. **moving** runs under `GridPolicy::Static`: both
+//!   mutations re-derive the grid and re-bucket every shard. Both
+//!   removals are O(window); the policies differ in the append and in
+//!   whether the grid moves.
 //! * `grid_refresh` — a full equi-depth refresh (boundaries recomputed
 //!   from the classified lists, all shards rebuilt in parallel, atomic
 //!   swap): the price the drift threshold amortizes.
@@ -48,8 +49,7 @@ fn load(docs: &[(String, String)], policy: GridPolicy) -> Database {
 }
 
 /// Slack wide enough that the benched append always fits; the huge
-/// threshold (with auto off) keeps the measurement to the append path
-/// itself.
+/// threshold (with auto off) keeps the measurement to the slide itself.
 fn slack() -> GridPolicy {
     GridPolicy::Slack {
         slack_percent: 100,
@@ -58,42 +58,49 @@ fn slack() -> GridPolicy {
     }
 }
 
+/// Appends window document `next` (contents cycle through `docs`, so
+/// the window's contents stay fixed) and removes the oldest,
+/// `next - docs.len()`.
+fn slide(db: &mut Database, docs: &[(String, String)], next: &mut usize) {
+    let n = docs.len();
+    db.add_document(format!("doc{next}.xml"), black_box(&docs[*next % n].1))
+        .unwrap();
+    db.remove_document(&format!("doc{}.xml", *next - n))
+        .unwrap();
+    *next += 1;
+}
+
 fn bench_append(c: &mut Criterion) {
     const RECORDS: usize = 60;
-    let extra = doc_xml(999, RECORDS);
     let mut group = c.benchmark_group("grid_append");
     for n in [4usize, 8, 16] {
         let docs = collection(n, RECORDS);
 
         let mut stable = load(&docs, slack());
+        let mut next = n;
         group.bench_with_input(BenchmarkId::new("stable", n), &n, |b, _| {
-            b.iter(|| {
-                stable.add_document("extra.xml", black_box(&extra)).unwrap();
-                stable.remove_document("extra.xml").unwrap();
-            })
+            b.iter(|| slide(&mut stable, &docs, &mut next))
         });
         let s = stable.telemetry().maintenance;
         assert_eq!(
             s.grid_moves, 0,
-            "stable loop must never move the grid (overflows: {})",
+            "stable slides must never move the grid (overflows: {})",
             s.overflow_appends
         );
         eprintln!(
-            "grid_append/stable/{n}: stable_appends {} stable_removes {} \
+            "grid_append/stable/{n}: stable_appends {} pinned_rebuilds {} \
              grid_moves {} drift {:.4} slack_remaining {}",
             s.stable_appends,
-            s.stable_removes,
+            s.pinned_rebuilds,
             s.grid_moves,
             s.drift,
             s.slack_remaining(),
         );
 
         let mut moving = load(&docs, GridPolicy::Static);
+        let mut next = n;
         group.bench_with_input(BenchmarkId::new("moving", n), &n, |b, _| {
-            b.iter(|| {
-                moving.add_document("extra.xml", black_box(&extra)).unwrap();
-                moving.remove_document("extra.xml").unwrap();
-            })
+            b.iter(|| slide(&mut moving, &docs, &mut next))
         });
         let m = moving.telemetry().maintenance;
         eprintln!(

@@ -117,9 +117,9 @@ pub fn mixed_window(seed: u64, docs: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Default scales used by the benches (kept moderate so `cargo bench`
-/// finishes quickly; `paper_tables` accepts larger scales).
-pub const DBLP_BENCH_RECORDS: usize = 5_000;
+/// Default `dept` scale of the `substrate` and `ablations` benches (kept
+/// moderate so `cargo bench` finishes quickly; `paper_tables` accepts
+/// larger scales).
 pub const DEPT_BENCH_NODES: usize = 2_500;
 
 #[cfg(test)]

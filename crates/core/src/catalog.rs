@@ -4,7 +4,7 @@
 //! The paper's premise (Section 2) is that the summary structure `T'` is
 //! a small fraction of the data and answers estimation queries alone.
 //! This module takes that to its deployment conclusion: a **catalog
-//! file** persisting every derived structure, so
+//! file** persisting every derived structure estimation reads, so
 //! `Database::open_catalog(bytes)` reconstructs a serving-ready database
 //! with *zero tree traversal* and byte-identical estimates to a fresh
 //! build. Persisted, in order:
@@ -15,12 +15,13 @@
 //! * the grid policy and the explicit collection grid,
 //! * the predicate catalog (name → [`BasePredicate`]),
 //! * the merged mega-tree [`Summaries`] (reusing
-//!   [`crate::summary::to_bytes`] wholesale),
+//!   [`crate::summary::to_bytes`] wholesale), and
 //! * one summary shard per document ([`CatalogShard`]: name, position
-//!   offset, its own [`Summaries`] over the shared grid), and
-//! * the grid maintenance state: the [`DriftTracker`]'s occupancy rows,
-//!   so a reopened database resumes drift accounting exactly where the
-//!   saved one left off.
+//!   offset, its own [`Summaries`] over the shared grid).
+//!
+//! The drift tracker (`crate::regrid::DriftTracker`) is not persisted: a
+//! catalog-opened database serves estimates only and never mutates, so
+//! it starts an empty tracker.
 //!
 //! ## Wire layout (version 4)
 //!
@@ -45,25 +46,27 @@
 //! kind 2  MERGED  — summary::to_bytes of the mega-tree summaries
 //! kind 3  SHARD   — directory index u32, summary::to_bytes bytes
 //!                   (one section per directory entry, in order)
-//! kind 5  DRIFT   — g u16, baseline f64, mutations u64,
-//!                   rows u32, { name str, buckets u32, u64* }*
-//!                   (section present only when a tracker was saved)
 //! ```
 //!
-//! Kind 4, COEFFS, is a v1–v3 section: precomputed pH-join coefficient
-//! tables, `count u32, { name str, basis u8, grid, entries u32,
-//! { cell, f64 }* }*`. The estimator no longer uses such tables, so
-//! the writer omits the section and every open skips it. A **version
-//! 3** catalog has the v4 layout plus one COEFFS frame between the last
-//! SHARD and DRIFT: the strict open checks its checksum and walks its
-//! body through the bounds-checked `summary::Reader` without building a
-//! table; the lenient open ignores it.
+//! Two section kinds are read and skipped, never written:
+//!
+//! * Kind 4, COEFFS, is a v1–v3 section: precomputed pH-join
+//!   coefficient tables, `count u32, { name str, basis u8, grid,
+//!   entries u32, { cell, f64 }* }*`. A **version 3** catalog has the
+//!   v4 layout plus one COEFFS frame after the last SHARD.
+//! * Kind 5, DRIFT, is the drift tracker earlier writers persisted
+//!   (optional, last): `g u16, baseline f64, mutations u64, rows u32,
+//!   { name str, buckets u32, u64* }*`.
+//!
+//! The strict open checks each such frame's checksum and walks its body
+//! through the bounds-checked `summary::Reader` without building
+//! anything; the lenient open ignores both kinds.
 //!
 //! **Version 1/2** catalogs (a single unframed payload guarded only by
 //! the whole-payload checksum) still open through the legacy parser,
-//! which walks past their coefficient list the same way: v1 defaults
-//! the policy to [`GridPolicy::Static`] — exactly the behavior those
-//! bytes were produced under — and starts drift accounting fresh.
+//! which walks past their coefficient list and v2 drift tracker the same
+//! way; v1 defaults the policy to [`GridPolicy::Static`] — exactly the
+//! behavior those bytes were produced under.
 //!
 //! ## Two open modes
 //!
@@ -81,9 +84,8 @@
 //! (without it nothing can be attributed); beyond that, a corrupt shard
 //! section **quarantines only that document** — the survivors re-merge
 //! into a serving view that preserves the original position space
-//! (see [`crate::shard::merge_shards_with_total`]) — a corrupt MERGED
-//! section is rebuilt from the shards, and a corrupt DRIFT section is
-//! dropped (drift accounting restarts). The returned
+//! (see [`crate::shard::merge_shards_with_total`]) — and a corrupt MERGED
+//! section is rebuilt from the shards. The returned
 //! [`OpenReport`] lists every quarantined document with its reason, so
 //! the engine can surface a degraded open and `repair()` it from
 //! sources. Hostile bytes return [`Error::Corrupt`] or quarantine,
@@ -93,7 +95,7 @@
 use crate::error::{Error, Result};
 use crate::estimator::{Summaries, SummaryConfig};
 use crate::grid::Grid;
-use crate::regrid::{DriftTracker, GridPolicy};
+use crate::regrid::GridPolicy;
 use crate::shard::merge_shards_with_total;
 use crate::summary::{
     self, read_base_pred, read_grid, write_base_pred, write_grid, Reader, Writer,
@@ -115,6 +117,7 @@ const SEC_MERGED: u8 = 2;
 const SEC_SHARD: u8 = 3;
 /// Coefficient tables: present in v3 files only, never read.
 const SEC_COEFFS: u8 = 4;
+/// Drift-tracker rows: optional in v3 and v4 files, never read.
 const SEC_DRIFT: u8 = 5;
 
 /// One document's persisted summary shard.
@@ -152,9 +155,6 @@ pub struct QuarantinedShard {
 pub struct OpenReport {
     /// Documents excluded from the serving view, with reasons.
     pub quarantined: Vec<QuarantinedShard>,
-    /// The drift-tracker section was corrupt and dropped (drift
-    /// accounting restarts; estimates are unaffected).
-    pub dropped_drift: bool,
     /// The serving view was re-merged from surviving shards (because
     /// the MERGED section was corrupt, or because quarantined documents
     /// had to be excluded from it).
@@ -162,10 +162,10 @@ pub struct OpenReport {
 }
 
 impl OpenReport {
-    /// Whether the open was fully healthy — nothing quarantined,
-    /// dropped, or rebuilt.
+    /// Whether the open was fully healthy — nothing quarantined or
+    /// rebuilt.
     pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty() && !self.dropped_drift && !self.remerged
+        self.quarantined.is_empty() && !self.remerged
     }
 }
 
@@ -185,9 +185,6 @@ pub struct CatalogFile {
     /// Grid policy the summaries were built under (v1 catalogs open as
     /// [`GridPolicy::Static`], the behavior they were produced under).
     pub policy: GridPolicy,
-    /// Drift-tracker occupancy state, when the saved database had one
-    /// (`None` for v1 catalogs and non-collection databases).
-    pub drift: Option<DriftTracker>,
 }
 
 /// FNV-1a 64 over a byte slice — cheap, dependency-free corruption
@@ -257,42 +254,44 @@ fn skip_coefficients(r: &mut Reader) -> Result<()> {
     Ok(())
 }
 
-fn write_drift(w: &mut Writer, t: &DriftTracker) {
-    w.u16(t.g());
-    w.f64(t.baseline());
-    w.u64(t.mutations());
-    let rows: Vec<(&str, &[u64])> = t.rows_for_persist().collect();
-    w.u32(rows.len() as u32);
-    for (name, counts) in rows {
-        w.str(name);
-        w.u32(counts.len() as u32);
-        for &c in counts {
-            w.u64(c);
-        }
-    }
-}
-
-fn read_drift(r: &mut Reader, expected_g: u16) -> Result<DriftTracker> {
+/// Walks past a drift-tracker body without building a tracker. Counts
+/// go through [`Reader::count`] like [`skip_coefficients`]; a tracker
+/// for another grid size, or a row longer than the grid, is corrupt.
+fn skip_drift(r: &mut Reader, expected_g: u16) -> Result<()> {
     let g = r.u16()?;
     if g != expected_g {
         return Err(Error::Corrupt(format!(
             "drift tracker is for a g={g} grid, summaries use g={expected_g}"
         )));
     }
-    let baseline = r.f64()?;
-    let mutations = r.u64()?;
-    let n = r.count(4 + 4)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str()?;
+    r.f64()?;
+    r.u64()?;
+    for _ in 0..r.count(4 + 4)? {
+        r.str()?;
         let buckets = r.count(8)?;
-        let mut counts = Vec::with_capacity(buckets);
-        for _ in 0..buckets {
-            counts.push(r.u64()?);
+        if buckets > g as usize {
+            return Err(Error::Corrupt(format!(
+                "drift row has {buckets} buckets on a g={g} grid"
+            )));
         }
-        rows.push((name, counts));
+        r.take(8 * buckets)?;
     }
-    DriftTracker::from_parts(g, rows, baseline, mutations)
+    Ok(())
+}
+
+/// Runs `skip` over a whole section body the open discards; bytes it
+/// leaves unread are corrupt.
+fn skip_section(
+    body: &[u8],
+    what: &str,
+    skip: impl FnOnce(&mut Reader) -> Result<()>,
+) -> Result<()> {
+    let mut r = Reader { data: body, pos: 0 };
+    skip(&mut r)?;
+    if r.pos != body.len() {
+        return Err(Error::Corrupt(format!("trailing bytes after {what}")));
+    }
+    Ok(())
 }
 
 /// The parsed META section: the root of trust for a framed open. Everything
@@ -483,13 +482,6 @@ impl CatalogFile {
             frame(&mut payload, SEC_SHARD, &b.out);
         }
 
-        // DRIFT, only when a tracker was saved.
-        if let Some(t) = &self.drift {
-            let mut d = Writer::default();
-            write_drift(&mut d, t);
-            frame(&mut payload, SEC_DRIFT, &d.out);
-        }
-
         let payload = payload.out;
         let mut w = Writer::default();
         w.bytes(MAGIC);
@@ -569,14 +561,9 @@ impl CatalogFile {
             .chain((version == 3).then_some(SEC_COEFFS))
             .collect();
         let kinds: Vec<u8> = sections.iter().map(|s| s.kind).collect();
-        let drift_present = kinds.len() == expected_kinds.len() + 1;
-        let sequence_ok = kinds.len() >= expected_kinds.len()
-            && kinds[..expected_kinds.len()] == expected_kinds[..]
-            && match kinds.len() - expected_kinds.len() {
-                0 => true,
-                1 => kinds[expected_kinds.len()] == SEC_DRIFT,
-                _ => false,
-            };
+        let sequence_ok = kinds
+            .strip_prefix(&expected_kinds[..])
+            .is_some_and(|rest| matches!(rest, [] | [SEC_DRIFT]));
         if !sequence_ok {
             return Err(Error::Corrupt("catalog sections out of order".into()));
         }
@@ -603,33 +590,15 @@ impl CatalogFile {
                 summaries,
             });
         }
-        if version == 3 {
-            let coeff_sec = &sections[2 + n];
-            let mut r = Reader {
-                data: coeff_sec.body,
-                pos: 0,
-            };
-            skip_coefficients(&mut r)?;
-            if r.pos != coeff_sec.body.len() {
-                return Err(Error::Corrupt(
-                    "trailing bytes after coefficient tables".into(),
-                ));
+        // What follows the shards is v3's COEFFS frame and an optional
+        // DRIFT frame (the sequence check above), walked and discarded.
+        for s in &sections[2 + n..] {
+            if s.kind == SEC_COEFFS {
+                skip_section(s.body, "coefficient tables", skip_coefficients)?;
+            } else {
+                skip_section(s.body, "drift tracker", |r| skip_drift(r, meta.grid.g()))?;
             }
         }
-        let drift = if drift_present {
-            let drift_sec = &sections[expected_kinds.len()];
-            let mut r = Reader {
-                data: drift_sec.body,
-                pos: 0,
-            };
-            let t = read_drift(&mut r, meta.grid.g())?;
-            if r.pos != drift_sec.body.len() {
-                return Err(Error::Corrupt("trailing bytes after drift tracker".into()));
-            }
-            Some(t)
-        } else {
-            None
-        };
 
         let out = CatalogFile {
             config: meta.config,
@@ -637,7 +606,6 @@ impl CatalogFile {
             merged,
             shards,
             policy: meta.policy,
-            drift,
         };
         crate::invariants::checkpoint("CatalogFile::from_bytes", || out.validate());
         Ok(out)
@@ -704,22 +672,14 @@ impl CatalogFile {
                 w[1].1
             );
         }
-        if let Some(drift) = &self.drift {
-            invariant!(
-                drift.g() == self.merged.grid().g(),
-                "drift tracker tracks {} buckets, grid has {}",
-                drift.g(),
-                self.merged.grid().g()
-            );
-        }
         Ok(())
     }
 
     /// Opens a catalog in **degraded** mode: per-section checksums
     /// localize corruption, bad shard sections are quarantined instead
     /// of failing the open, a bad MERGED section is rebuilt from the
-    /// surviving shards, a bad DRIFT section is dropped, and a v3
-    /// COEFFS section is ignored whatever its state.
+    /// surviving shards, and v3 COEFFS and DRIFT sections are ignored
+    /// whatever their state.
     /// Fatal only when the META section (the root of trust) is corrupt,
     /// or when nothing servable survives. The [`OpenReport`] says
     /// exactly what was lost; a clean file returns
@@ -817,30 +777,12 @@ impl CatalogFile {
             }
         };
 
-        // DRIFT: optional in the format; dropped only when a section is
-        // present but damaged.
-        let drift_sec = sections.iter().find(|s| s.kind == SEC_DRIFT);
-        let drift = drift_sec.and_then(|s| {
-            if !s.checksum_ok {
-                return None;
-            }
-            let mut r = Reader {
-                data: s.body,
-                pos: 0,
-            };
-            read_drift(&mut r, meta.grid.g())
-                .ok()
-                .filter(|_| r.pos == s.body.len())
-        });
-        report.dropped_drift = drift_sec.is_some() && drift.is_none();
-
         let out = CatalogFile {
             config: meta.config,
             catalog: meta.catalog,
             merged,
             shards,
             policy: meta.policy,
-            drift,
         };
         crate::invariants::checkpoint("CatalogFile::open_lenient", || out.validate());
         Ok((out, report))
@@ -894,18 +836,19 @@ impl CatalogFile {
         }
         // Coefficient tables, skipped.
         skip_coefficients(&mut r)?;
-        // Grid maintenance sections (v2). A v1 catalog ends here and
-        // opens under the static policy it was produced under.
-        let (policy, drift) = if version >= 2 {
+        // Grid maintenance sections (v2): the policy, then an optional
+        // drift tracker, skipped. A v1 catalog ends here and opens under
+        // the static policy it was produced under.
+        let policy = if version >= 2 {
             let policy = read_policy(&mut r)?;
-            let drift = match r.u8()? {
-                0 => None,
-                1 => Some(read_drift(&mut r, merged.grid().g())?),
+            match r.u8()? {
+                0 => {}
+                1 => skip_drift(&mut r, merged.grid().g())?,
                 k => return Err(Error::Corrupt(format!("unknown drift tag {k}"))),
-            };
-            (policy, drift)
+            }
+            policy
         } else {
-            (GridPolicy::Static, None)
+            GridPolicy::Static
         };
         config.policy = policy;
         if r.pos != payload.len() {
@@ -918,7 +861,6 @@ impl CatalogFile {
             merged,
             shards,
             policy,
-            drift,
         })
     }
 }
@@ -952,23 +894,21 @@ mod tests {
             merged,
             shards: Vec::new(),
             policy: GridPolicy::Static,
-            drift: None,
         }
     }
 
-    /// `file`'s frames re-framed under header `version`, with a COEFFS
-    /// frame holding `coeffs` after the shards (where v3 put it).
-    fn with_coeffs(file: &CatalogFile, coeffs: &[u8], version: u16) -> Vec<u8> {
+    /// `file`'s frames re-framed under header `version`, followed by
+    /// `extra` frames (where earlier writers put COEFFS and DRIFT).
+    fn with_frames(file: &CatalogFile, extra: &[(u8, &[u8])], version: u16) -> Vec<u8> {
         let bytes = file.to_bytes();
         let (sections, truncated) = walk_frames(&bytes[HEADER_LEN..]);
         assert!(!truncated);
         let mut payload = Writer::default();
-        for s in sections.iter().filter(|s| s.kind != SEC_DRIFT) {
+        for s in &sections {
             frame(&mut payload, s.kind, s.body);
         }
-        frame(&mut payload, SEC_COEFFS, coeffs);
-        for s in sections.iter().filter(|s| s.kind == SEC_DRIFT) {
-            frame(&mut payload, s.kind, s.body);
+        for &(kind, body) in extra {
+            frame(&mut payload, kind, body);
         }
         let mut w = Writer::default();
         w.bytes(MAGIC);
@@ -990,6 +930,22 @@ mod tests {
         c.cell((0, 1));
         c.f64(0.25);
         c.out
+    }
+
+    /// A DRIFT body as earlier writers emitted it: a `g`-bucket tracker
+    /// with one row.
+    fn drift_body(g: u16, row: &[u64]) -> Vec<u8> {
+        let mut d = Writer::default();
+        d.u16(g);
+        d.f64(0.125);
+        d.u64(7);
+        d.u32(1);
+        d.str("fac");
+        d.u32(row.len() as u32);
+        for &c in row {
+            d.u64(c);
+        }
+        d.out
     }
 
     /// Flips one byte in the middle of the first `kind` section's body.
@@ -1016,17 +972,17 @@ mod tests {
         );
         assert_eq!(back.merged.len(), file.merged.len());
         assert_eq!(back.merged.grid(), file.merged.grid());
-        // Version 4 writes no COEFFS section.
+        // Version 4 writes no COEFFS or DRIFT section.
         assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 4);
         let (sections, _) = walk_frames(&bytes[HEADER_LEN..]);
-        assert!(sections.iter().all(|s| s.kind != SEC_COEFFS));
+        assert!(sections.iter().all(|s| s.kind <= SEC_SHARD));
         // Lenient open of clean bytes is clean.
         let (_, report) = CatalogFile::open_lenient(&bytes).unwrap();
         assert!(report.is_clean(), "{report:?}");
     }
 
     #[test]
-    fn policy_and_drift_sections_round_trip() {
+    fn policy_round_trips_and_drift_frames_are_skipped() {
         let mut file = sample();
         file.policy = GridPolicy::Slack {
             slack_percent: 35,
@@ -1034,28 +990,34 @@ mod tests {
             auto_refresh: true,
         };
         file.config.policy = file.policy;
-        let g = file.merged.grid().g();
-        let mut tracker =
-            DriftTracker::from_parts(g, vec![("fac".into(), vec![3, 0, 1, 0])], 0.125, 7).unwrap();
-        tracker.rebaseline();
-        let want_skew = tracker.skew();
-        file.drift = Some(tracker);
-
         let back = CatalogFile::from_bytes(&file.to_bytes()).unwrap();
         assert_eq!(back.policy, file.policy);
         assert_eq!(back.config.policy, file.policy, "config carries the policy");
-        let drift = back.drift.expect("drift section round-trips");
-        assert_eq!(drift.g(), g);
-        assert_eq!(drift.skew(), want_skew);
-        assert_eq!(drift.mutations(), 0);
 
-        // A drift tracker on the wrong grid size is corrupt.
-        let mut bad = sample();
-        bad.drift = Some(DriftTracker::from_parts(g + 1, Vec::new(), 0.0, 0).unwrap());
-        assert!(matches!(
-            CatalogFile::from_bytes(&bad.to_bytes()),
-            Err(Error::Corrupt(_))
-        ));
+        // A DRIFT frame after the shards opens both ways, clean.
+        let g = file.merged.grid().g();
+        let drift = drift_body(g, &[3, 0, 1, 0]);
+        let with_drift = with_frames(&file, &[(SEC_DRIFT, &drift)], 4);
+        let strict = CatalogFile::from_bytes(&with_drift).unwrap();
+        assert_eq!(strict.policy, file.policy);
+        assert_eq!(strict.merged.len(), file.merged.len());
+        let (_, report) = CatalogFile::open_lenient(&with_drift).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+
+        // The strict walk still rejects a tracker for another grid, a row
+        // longer than the grid, a short body and a second DRIFT frame.
+        for extra in [
+            vec![(SEC_DRIFT, drift_body(g + 1, &[]))],
+            vec![(SEC_DRIFT, drift_body(g, &[1; 5]))],
+            vec![(SEC_DRIFT, drift[..drift.len() - 1].to_vec())],
+            vec![(SEC_DRIFT, drift.clone()), (SEC_DRIFT, drift.clone())],
+        ] {
+            let extra: Vec<(u8, &[u8])> = extra.iter().map(|(k, b)| (*k, &b[..])).collect();
+            assert!(matches!(
+                CatalogFile::from_bytes(&with_frames(&file, &extra, 4)),
+                Err(Error::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
@@ -1091,45 +1053,35 @@ mod tests {
     }
 
     #[test]
-    fn lenient_drops_damaged_rederivable_sections() {
-        let mut file = sample();
-        let g = file.merged.grid().g();
-        file.drift = Some(
-            DriftTracker::from_parts(g, vec![("fac".into(), vec![3, 0, 1, 0])], 0.5, 2).unwrap(),
-        );
+    fn lenient_ignores_damaged_skipped_sections() {
+        let file = sample();
         let coeffs = coeffs_body(file.merged.grid());
+        let drift = drift_body(file.merged.grid().g(), &[3, 0, 1, 0]);
 
-        // A v3 file with an intact COEFFS frame opens both ways, clean.
-        let v3 = with_coeffs(&file, &coeffs, 3);
-        let strict = CatalogFile::from_bytes(&v3).unwrap();
-        assert!(strict.drift.is_some());
+        // A v3 file with intact COEFFS and DRIFT frames opens both ways,
+        // clean.
+        let v3 = with_frames(&file, &[(SEC_COEFFS, &coeffs), (SEC_DRIFT, &drift)], 3);
+        CatalogFile::from_bytes(&v3).unwrap();
         let (_, report) = CatalogFile::open_lenient(&v3).unwrap();
         assert!(report.is_clean(), "{report:?}");
         // COEFFS belongs to v3 only: a v4 file carrying one is out of
         // order, and a v3 file without one is too.
-        assert!(CatalogFile::from_bytes(&with_coeffs(&file, &coeffs, 4)).is_err());
+        assert!(CatalogFile::from_bytes(&with_frames(&file, &[(SEC_COEFFS, &coeffs)], 4)).is_err());
         let mut no_coeffs = file.to_bytes();
         no_coeffs[4] = 3;
         assert!(CatalogFile::from_bytes(&no_coeffs).is_err());
 
-        // A damaged COEFFS frame: the strict open rejects it, the
-        // lenient open ignores it and loses nothing.
-        let bad = damage(&v3, SEC_COEFFS);
-        assert!(CatalogFile::from_bytes(&bad).is_err());
-        let (opened, report) = CatalogFile::open_lenient(&bad).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert!(opened.drift.is_some());
-        assert_eq!(opened.merged.len(), file.merged.len());
-
-        // Damaged DRIFT is dropped and reported, in v3 and v4 alike.
-        for bytes in [v3, file.to_bytes()] {
-            let bad = damage(&bytes, SEC_DRIFT);
+        // A damaged COEFFS or DRIFT frame, in v3 and v4 alike: the strict
+        // open rejects it, the lenient open ignores it and loses nothing.
+        let v4 = with_frames(&file, &[(SEC_DRIFT, &drift)], 4);
+        for bad in [
+            damage(&v3, SEC_COEFFS),
+            damage(&v3, SEC_DRIFT),
+            damage(&v4, SEC_DRIFT),
+        ] {
             assert!(CatalogFile::from_bytes(&bad).is_err());
             let (opened, report) = CatalogFile::open_lenient(&bad).unwrap();
-            assert!(report.dropped_drift);
-            assert!(report.quarantined.is_empty());
-            assert!(!report.remerged);
-            assert!(opened.drift.is_none());
+            assert!(report.is_clean(), "{report:?}");
             assert_eq!(opened.merged.len(), file.merged.len());
             assert_eq!(opened.catalog.len(), file.catalog.len());
         }

@@ -37,7 +37,7 @@ use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::telemetry::{edge_kernels, Metrics, Telemetry, TraceReport};
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use xmlest_core::catalog::{CatalogFile, CatalogShard, OpenReport, QuarantinedShard};
 use xmlest_core::shard::{
@@ -113,51 +113,39 @@ impl ElementIndex {
         ElementIndex { lists }
     }
 
-    /// Builds the index for a sharded collection from the stored
-    /// classified lists: tag entries concatenate each document's
-    /// (shifted) matches without touching any tree (node ids equal
-    /// positions, so the shifted start *is* the mega-tree id); only
-    /// non-tag predicates fall back to a tree scan.
-    fn build_sharded(tree: &XmlTree, catalog: &Catalog, shards: &[DocShard]) -> ElementIndex {
+    /// Builds the index for a collection from its classified lists
+    /// without touching any tree: each entry concatenates every
+    /// document's matches shifted by its offset (node ids equal
+    /// positions, so the shifted start *is* the mega-tree id), after the
+    /// mega-root's item where the entry matches it. Valid for the
+    /// tag-derived catalogs every collection has.
+    fn build_sharded(catalog: &Catalog, inputs: &[(&DocumentSummaryInput, u32)]) -> ElementIndex {
         let builtins = builtin_entry_count();
-        let total: u64 = 1 + shards.iter().map(|s| s.summaries.tree_nodes()).sum::<u64>();
+        let total: u64 = 1 + inputs
+            .iter()
+            .map(|(input, _)| input.node_count as u64)
+            .sum::<u64>();
         let mut lists = BTreeMap::new();
         for (pos, entry) in catalog.iter().enumerate() {
-            let items = match &entry.predicate {
-                BasePredicate::Tag(_) if shards.iter().all(|s| s.source.is_some()) => {
-                    let mut items: Vec<Item<NodeId>> = Vec::new();
-                    if matches_mega_root(&entry.predicate) {
-                        let iv = Interval::new(0, (total - 1) as u32);
-                        items.push(Item::new(iv, NodeId(0)));
-                    }
-                    for shard in shards {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "match arm requires all shards sourced"
-                        )]
-                        let input = &shard.source.as_ref().expect("checked above").input;
-                        for iv in &input.entries[builtins + pos].intervals {
-                            let shifted =
-                                Interval::new(iv.start + shard.offset, iv.end + shard.offset);
-                            items.push(Item::new(shifted, NodeId(shifted.start)));
-                        }
-                    }
-                    items
+            let mut items: Vec<Item<NodeId>> = Vec::new();
+            if matches_mega_root(&entry.predicate) {
+                let iv = Interval::new(0, (total - 1) as u32);
+                items.push(Item::new(iv, NodeId(0)));
+            }
+            for &(input, offset) in inputs {
+                for iv in &input.entries[builtins + pos].intervals {
+                    let shifted = Interval::new(iv.start + offset, iv.end + offset);
+                    items.push(Item::new(shifted, NodeId(shifted.start)));
                 }
-                pred => pred
-                    .matches(tree)
-                    .into_iter()
-                    .map(|n| Item::new(tree.interval(n), n))
-                    .collect(),
-            };
+            }
             lists.insert(entry.name.clone(), items);
         }
         ElementIndex { lists }
     }
 
     /// Appends one document's classified matches to the lists —
-    /// O(matches in the new document). Valid only for all-`Tag`
-    /// catalogs (the collection case): the new document occupies the
+    /// O(matches in the new document). Valid for the tag-derived
+    /// catalogs every collection has: the new document occupies the
     /// tail of the position space, so its items append in document
     /// order, and the only existing item that changes is the
     /// mega-root's, whose interval end grows to the new total.
@@ -181,22 +169,6 @@ impl ElementIndex {
             for iv in &input.entries[builtins + pos].intervals {
                 let shifted = Interval::new(iv.start + offset, iv.end + offset);
                 list.push(Item::new(shifted, NodeId(shifted.start)));
-            }
-        }
-    }
-
-    /// Drops every item at or past `offset` (the tail document) and
-    /// shrinks the mega-root item's interval — the inverse of
-    /// [`ElementIndex::append_document`], O(matches in the removed
-    /// document) plus one binary search per list.
-    fn truncate_document(&mut self, offset: u32, new_total: u64) {
-        for list in self.lists.values_mut() {
-            let keep = list.partition_point(|it| it.interval.start < offset);
-            list.truncate(keep);
-            if let Some(root_item) = list.first_mut() {
-                if root_item.interval.start == 0 {
-                    root_item.interval.end = (new_total - 1) as u32;
-                }
             }
         }
     }
@@ -310,14 +282,6 @@ pub struct Database {
     /// degraded re-merges); those fall back to the full merge, which
     /// re-establishes the state.
     merge_state: Option<MergeState>,
-    /// Pre-append snapshots of the serving view, newest last (bounded by
-    /// [`UNDO_DEPTH`]): removing the newest document pops one in O(1)
-    /// instead of re-merging every surviving shard. Snapshots are moved,
-    /// never cloned — each is the exact `(summaries, merge_state)` pair
-    /// that served before its append, so the restore is bit-identical by
-    /// construction. Every mutation other than a stable append/undo pair
-    /// clears the stack.
-    undo: VecDeque<AppendUndo>,
     /// The wait-free serving cell: every mutation commit publishes an
     /// immutable epoch-stamped [`Snapshot`] here by pointer swap.
     /// Concurrent readers ([`Database::serving`] holders — the
@@ -336,23 +300,6 @@ pub struct Database {
     /// Engine counter handles registered in `obs` (estimates, errors,
     /// batches, publishes).
     metrics: Metrics,
-}
-
-/// How many stable appends [`Database::remove_document`] can undo in
-/// O(1) before falling back to a full re-merge of the surviving shards.
-const UNDO_DEPTH: usize = 8;
-
-/// One stable append's pre-append serving state (see `Database::undo`).
-struct AppendUndo {
-    /// Shard count before the append — the index of the one shard whose
-    /// removal this snapshot undoes.
-    shards_before: usize,
-    /// `Summaries::len()` of the snapshot; a catalog extended since the
-    /// capture yields a merged view with more entries, so a mismatch
-    /// invalidates the snapshot.
-    entry_count: usize,
-    summaries: Arc<Summaries>,
-    merge_state: Option<MergeState>,
 }
 
 /// Builds the initial serving cell for a freshly constructed database:
@@ -456,8 +403,7 @@ fn mega_tree(docs: &[(&str, &ShardSource)]) -> Result<XmlTree> {
 enum Rebuild {
     /// The same documents on a re-derived grid (the equi-depth refresh).
     Refresh,
-    /// Drops the document at this index (any removal but the slack
-    /// policy's newest-document fast path).
+    /// Drops the document at this index (every removal).
     Remove(usize),
     /// Appends a document (an append the slack cannot hold, or any
     /// append under the static policy).
@@ -487,7 +433,6 @@ impl Database {
             maintenance,
             quarantine: Vec::new(),
             merge_state: None,
-            undo: VecDeque::new(),
             serving,
             obs,
             metrics,
@@ -559,12 +504,13 @@ impl Database {
         config: SummaryConfig,
         sources: Vec<(String, ShardSource)>,
     ) -> Result<Database> {
-        let (derived, tree) = {
+        let (derived, tree, index) = {
             let docs: Vec<(&str, &ShardSource)> =
                 sources.iter().map(|(n, src)| (n.as_str(), src)).collect();
             let inputs = layout(docs.iter().map(|(_, src)| &src.input));
             let derived = derive_collection(&inputs, &catalog, &config, None)?;
-            (derived, mega_tree(&docs)?)
+            let index = ElementIndex::build_sharded(&catalog, &inputs);
+            (derived, mega_tree(&docs)?, index)
         };
         let shards: Vec<DocShard> = sources
             .into_iter()
@@ -576,7 +522,6 @@ impl Database {
                 source: Some(src),
             })
             .collect();
-        let index = ElementIndex::build_sharded(&tree, &catalog, &shards);
         let summaries = Arc::new(derived.merged);
         let obs = Recorder::new();
         let metrics = Metrics::register(&obs);
@@ -594,7 +539,6 @@ impl Database {
             maintenance: MaintenanceState::with_tracker(derived.tracker),
             quarantine: Vec::new(),
             merge_state: Some(derived.state),
-            undo: VecDeque::new(),
             serving,
             obs,
             metrics,
@@ -623,19 +567,18 @@ impl Database {
     /// to the borrowed document list, lays the documents out
     /// contiguously, runs the [`derive_collection`] step (on `pinned`,
     /// or a re-derived grid) and — when documents moved — replays the
-    /// mega-tree. Only then does it commit: shards take their new
-    /// offsets and summaries; the merged view, fold state and drift
-    /// tracker are replaced; the element index re-derives from the new
-    /// mega-tree; the undo stack clears, since it belongs to the old
-    /// grid. The epoch bumps and
-    /// the successor snapshot publishes. The prepared cache, counters,
+    /// mega-tree and re-derives the element index from the classified
+    /// lists. Only then does it commit: shards take their new offsets
+    /// and summaries; the merged view, fold state, drift tracker,
+    /// mega-tree and index are replaced. The epoch bumps and the
+    /// successor snapshot publishes. The prepared cache, counters,
     /// serving cell and recorder carry over untouched.
     ///
     /// A refresh moves no document, so it keeps the mega-tree and the
     /// element index. A failure returns before the commit and changes
     /// nothing.
     fn rebuild(&mut self, change: Rebuild, pinned: Option<Grid>) -> Result<()> {
-        let (derived, tree) = {
+        let (derived, data) = {
             let mut docs = self.sources()?;
             match &change {
                 Rebuild::Refresh => {}
@@ -646,11 +589,14 @@ impl Database {
             }
             let inputs = layout(docs.iter().map(|(_, src)| &src.input));
             let derived = derive_collection(&inputs, &self.catalog, &self.config, pinned)?;
-            let tree = match change {
+            let data = match change {
                 Rebuild::Refresh => None,
-                _ => Some(mega_tree(&docs)?),
+                _ => Some((
+                    mega_tree(&docs)?,
+                    ElementIndex::build_sharded(&self.catalog, &inputs),
+                )),
             };
-            (derived, tree)
+            (derived, data)
         };
 
         // Commit — nothing below can fail.
@@ -675,14 +621,13 @@ impl Database {
                 source,
             })
             .collect();
-        if let Some(tree) = tree {
-            self.index = ElementIndex::build_sharded(&tree, &self.catalog, &self.shards);
+        if let Some((tree, index)) = data {
             self.tree = Some(tree);
+            self.index = index;
         }
         self.summaries = Arc::new(derived.merged);
         self.merge_state = Some(derived.state);
         self.maintenance.tracker = derived.tracker;
-        self.undo.clear();
         self.epoch += 1;
         self.publish_snapshot();
         Ok(())
@@ -695,16 +640,19 @@ impl Database {
     /// * **Stable append** (slack policy, document fits in the slack):
     ///   the new document's shard builds on the *existing* grid, every
     ///   existing shard summary is reused verbatim (zero re-bucketing),
-    ///   the mega-tree and element index extend in place — O(new
-    ///   document) plus the shard merge.
+    ///   the merged view extends by the new shard alone ([`merge_delta`])
+    ///   and the mega-tree and element index extend in place — O(new
+    ///   document). The drift tracker ingests the document and, under an
+    ///   auto-refresh policy, a threshold crossing triggers an
+    ///   equi-depth refresh before returning.
     /// * **Moving append** (static policy, or the document overflows the
-    ///   slack): the grid re-derives under the policy and every shard
-    ///   rebuilds from its stored classified lists (never re-parsed,
-    ///   never re-classified).
+    ///   slack): [`Database::rebuild`] re-derives the grid under the
+    ///   policy and rebuilds every shard from its stored classified
+    ///   lists (never re-parsed, never re-classified); the drift tracker
+    ///   is rebuilt with the grid, so drift restarts at zero.
     ///
-    /// Either way the drift tracker ingests the new document and, under
-    /// an auto-refresh policy, a threshold crossing triggers an
-    /// equi-depth refresh before returning.
+    /// Removing the document later goes through [`Database::rebuild`]
+    /// like any other removal ([`Database::remove_document`]).
     ///
     /// Only databases built with [`Database::load_documents`] support
     /// this; single-document and catalog-opened databases return
@@ -757,7 +705,7 @@ impl Database {
         let occupied = self.summaries.tree_nodes();
         let capacity = self.summaries.grid().max_pos() as u64 + 1;
         let fits = occupied + input.node_count as u64 <= capacity;
-        if self.config.policy.is_slack() && self.index_appendable() {
+        if self.config.policy.is_slack() {
             if fits {
                 self.append_within_slack(name.into(), doc_tree, input)?;
                 self.auto_refresh_if_needed();
@@ -825,18 +773,8 @@ impl Database {
             .tracker
             .ingest_document(&grid, &self.catalog, &input, offset);
         self.maintenance.counters.stable_appends += 1;
-        // The outgoing serving state is exactly what a removal of this
-        // document must restore: move it onto the undo stack.
-        let undo = AppendUndo {
-            shards_before: self.shards.len(),
-            entry_count: self.summaries.len(),
-            summaries: std::mem::replace(&mut self.summaries, Arc::new(merged)),
-            merge_state: self.merge_state.replace(merge_state),
-        };
-        self.undo.push_back(undo);
-        if self.undo.len() > UNDO_DEPTH {
-            self.undo.pop_front();
-        }
+        self.summaries = Arc::new(merged);
+        self.merge_state = Some(merge_state);
         self.shards.push(DocShard {
             name,
             offset,
@@ -851,39 +789,21 @@ impl Database {
         Ok(())
     }
 
-    /// Whether the element index can extend/shrink incrementally: every
-    /// catalog predicate is a `Tag` (always true for collections built
-    /// by [`Database::load_documents`], whose catalogs are tag-derived).
-    fn index_appendable(&self) -> bool {
-        self.catalog
-            .iter()
-            .all(|e| matches!(e.predicate, BasePredicate::Tag(_)))
-    }
-
-    /// Removes a document by name. Under the slack policy the grid never
-    /// moves: removing the **newest** document truncates the mega-tree,
-    /// index and shard list in place (O(removed document), zero
-    /// re-bucketing); an interior removal compacts the remaining
-    /// documents' positions and re-buckets their shards **on the pinned
-    /// grid** through [`Database::rebuild`], replaying the mega-tree and
-    /// element index (drift accounting carries forward — the grid was
-    /// not re-derived). Under the static policy the grid re-derives as
-    /// well. No path re-parses or re-classifies anything; the catalog
-    /// keeps its predicate definitions, and tags now matching nothing
-    /// summarize as empty. A failed removal changes nothing.
+    /// Removes a document by name through [`Database::rebuild`], at any
+    /// position in the collection: the remaining documents' positions
+    /// compact, their shards re-bucket from the stored classified lists,
+    /// and the mega-tree and element index replay. Under the slack
+    /// policy the grid never moves — the rebuild runs on the **pinned**
+    /// grid and drift accounting carries forward; under the static
+    /// policy the grid re-derives as well. Nothing is re-parsed or
+    /// re-classified; the catalog keeps its predicate definitions, and
+    /// tags now matching nothing summarize as empty. A failed removal
+    /// changes nothing.
     pub fn remove_document(&mut self, name: &str) -> Result<()> {
         self.require_collection()?;
         let Some(pos) = self.shards.iter().position(|s| s.name == name) else {
             return Err(Error::NoData(format!("no document named {name:?}")));
         };
-
-        // Stable removal: the newest document sits at the tail of every
-        // structure and peels off without touching the rest.
-        if self.config.policy.is_slack() && pos == self.shards.len() - 1 && self.index_appendable()
-        {
-            return self.remove_newest_within_slack();
-        }
-
         let pinned = self
             .config
             .policy
@@ -904,94 +824,6 @@ impl Database {
             .tracker
             .restore_continuity(baseline, mutations);
         self.maintenance.counters.pinned_rebuilds += 1;
-        self.auto_refresh_if_needed();
-        Ok(())
-    }
-
-    /// The stable-removal commit for the newest document: re-merge the
-    /// remaining (reused) shard summaries, truncate the mega-tree and
-    /// index tails, retract the document from the drift tracker.
-    fn remove_newest_within_slack(&mut self) -> Result<()> {
-        // Fail before the first mutation: drift retraction needs the
-        // shard's stored classified lists, and truncation needs the tree.
-        #[expect(
-            clippy::expect_used,
-            reason = "caller rejects empty shard lists before calling"
-        )]
-        let last = self.shards.last().expect("non-empty checked");
-        if last.source.is_none() {
-            return Err(Error::ServingOnly(format!(
-                "document {:?} has no stored source; its drift contribution cannot be retracted",
-                last.name
-            )));
-        }
-        let grid = self.summaries.grid().clone();
-        // O(1) undo: the top of the undo stack is the exact serving
-        // state from before this document's append — valid while the
-        // shard prefix and the catalog entry set are unchanged. Only
-        // when no snapshot applies does the removal pay the full
-        // re-merge of the surviving shards.
-        let undo_valid = self.undo.back().is_some_and(|u| {
-            u.shards_before + 1 == self.shards.len() && u.entry_count == self.summaries.len()
-        });
-        if !undo_valid {
-            self.undo.clear();
-        }
-        let remerged = if undo_valid {
-            None
-        } else {
-            let refs: Vec<&Summaries> = self.shards[..self.shards.len() - 1]
-                .iter()
-                .map(|s| &s.summaries)
-                .collect();
-            Some(merge_shards_stateful(
-                &refs,
-                &grid,
-                &self.catalog,
-                &self.config,
-            )?)
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "caller rejects empty shard lists before calling"
-        )]
-        let offset = self.shards.last().expect("non-empty checked").offset;
-        let Some(tree) = self.tree.as_mut() else {
-            return Err(Error::ServingOnly(
-                "database has no data tree to truncate".into(),
-            ));
-        };
-        tree.truncate_last_subtree(NodeId(offset))?;
-        // Commit — nothing below can fail.
-        #[expect(
-            clippy::expect_used,
-            reason = "caller rejects empty shard lists before calling"
-        )]
-        let shard = self.shards.pop().expect("non-empty checked");
-        #[expect(
-            clippy::expect_used,
-            reason = "source presence verified before the commit point above"
-        )]
-        let src = shard.source.expect("source checked above");
-        self.index.truncate_document(offset, offset as u64);
-        self.maintenance
-            .tracker
-            .retract_document(&grid, &self.catalog, &src.input, offset);
-        self.maintenance.counters.stable_removes += 1;
-        if let Some((merged, merge_state)) = remerged {
-            self.summaries = Arc::new(merged);
-            self.merge_state = Some(merge_state);
-        } else {
-            #[expect(
-                clippy::expect_used,
-                reason = "remerged is None only when undo_valid saw a stack top; nothing above pops it"
-            )]
-            let u = self.undo.pop_back().expect("undo_valid checked a snapshot");
-            self.summaries = u.summaries;
-            self.merge_state = u.merge_state;
-        }
-        self.epoch += 1;
-        self.publish_snapshot();
         self.auto_refresh_if_needed();
         Ok(())
     }
@@ -1128,7 +960,6 @@ impl Database {
             drift_threshold: self.config.policy.drift_threshold(),
             mutations_since_derive: t.mutations(),
             stable_appends: c.stable_appends,
-            stable_removes: c.stable_removes,
             grid_moves: c.grid_moves,
             pinned_rebuilds: c.pinned_rebuilds,
             overflow_appends: c.overflow_appends,
@@ -1140,12 +971,6 @@ impl Database {
             backoff_skips: c.backoff_skips,
             refresh_degraded: c.refresh_degraded,
         }
-    }
-
-    /// Per-predicate `(name, occupancy skew, match count)` in name
-    /// order — which predicates outgrew the grid.
-    pub fn predicate_skews(&self) -> Vec<(String, f64, u64)> {
-        self.maintenance.tracker.entry_skews()
     }
 
     fn require_collection(&self) -> Result<()> {
@@ -1167,9 +992,9 @@ impl Database {
 
     // ---- persistence -------------------------------------------------
 
-    /// Serializes everything derived — config, predicate catalog, the
-    /// merged summaries, every per-document shard and the drift tracker
-    /// — into a versioned, checksummed catalog blob.
+    /// Serializes everything estimation reads — config and grid policy,
+    /// predicate catalog, the merged summaries and every per-document
+    /// shard — into a versioned, checksummed catalog blob.
     /// [`Database::open_catalog`] restores a serving-ready database from
     /// it with zero tree traversal and byte-identical estimates.
     ///
@@ -1195,7 +1020,6 @@ impl Database {
                 })
                 .collect(),
             policy: self.config.policy,
-            drift: Some(self.maintenance.tracker.clone()),
         }
         .to_bytes()
     }
@@ -1214,8 +1038,8 @@ impl Database {
     }
 
     /// Opens catalog bytes **leniently**: localized corruption (a torn
-    /// shard section, a bad drift section)
-    /// quarantines just the affected parts while every intact document
+    /// shard section) quarantines just the affected parts while every
+    /// intact document
     /// keeps serving. The returned [`OpenReport`] lists what was
     /// quarantined or dropped; [`Database::repair`] rebuilds quarantined
     /// documents from re-supplied sources. Clean bytes yield a clean
@@ -1230,12 +1054,11 @@ impl Database {
         Ok((db, report))
     }
 
-    /// The shared serving-only constructor behind the catalog opens.
+    /// The shared serving-only constructor behind the catalog opens. It
+    /// rejects every mutation and refresh, so its drift tracker starts
+    /// empty.
     fn from_catalog_file(file: CatalogFile, quarantine: Vec<QuarantinedShard>) -> Database {
-        let maintenance = match file.drift {
-            Some(tracker) => MaintenanceState::with_tracker(tracker),
-            None => MaintenanceState::new(file.merged.grid().g()),
-        };
+        let maintenance = MaintenanceState::new(file.merged.grid().g());
         let summaries = Arc::new(file.merged);
         let obs = Recorder::new();
         let metrics = Metrics::register(&obs);
@@ -1262,7 +1085,6 @@ impl Database {
             maintenance,
             quarantine,
             merge_state: None,
-            undo: VecDeque::new(),
             serving,
             obs,
             metrics,
@@ -1435,7 +1257,6 @@ impl Database {
             // for a delta resume (the root interval is pinned, not
             // derived); the next stable append re-merges fully once.
             self.merge_state = None;
-            self.undo.clear();
             self.epoch += 1;
             self.publish_snapshot();
         }
@@ -1508,7 +1329,6 @@ impl Database {
         // coverage accumulators were folded under the old flags), so the
         // next stable append re-merges fully once.
         self.merge_state = None;
-        self.undo.clear();
         self.epoch += 1;
         self.publish_snapshot();
     }

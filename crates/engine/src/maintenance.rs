@@ -10,38 +10,39 @@
 //! module is the policy layer that resolves the tension:
 //!
 //! ```text
-//!                 mutation (add_document / remove_document)
-//!                                   │
-//!                     fits in slack capacity?          GridPolicy::Slack
-//!                ┌─────────yes──────┴───────no─────────┐
-//!                ▼                                     ▼
-//!      STABLE PATH  O(new doc)                MOVING PATH  O(collection)
-//!      · build one shard on the               · re-derive grid (policy-
-//!        existing grid                          padded span, equi-depth
-//!      · merge with the *reused*                from classified lists)
-//!        old shard summaries                  · rebuild all shards in
-//!      · extend mega-tree + index               parallel, re-merge
-//!        in place                             · commit in place
-//!                │                                     │
-//!                └────────────┬────────────────────────┘
-//!                             ▼
-//!                DRIFT TRACKER  (xmlest_core::regrid)
-//!                · per-predicate bucket occupancy of the
-//!                  stored classified lists, O(doc) update
-//!                · drift = skew − baseline-at-derivation
-//!                             │
-//!                   drift > threshold?  (auto_refresh)
-//!                             │ yes
-//!                             ▼
-//!                EQUI-DEPTH REFRESH  (Database::refresh_grid)
-//!                · recompute boundaries from the classified
-//!                  lists — zero tree traversal
-//!                · re-bucket every shard in parallel on the
-//!                  new grid, merge, commit in place
-//!                             │
-//!                             ▼
-//!                EPOCH BUMP → prepared-query cache re-prepares
-//!                lazily; a stale-grid plan is never served
+//!        add_document                          remove_document
+//!             │                                       │
+//!   slack policy and fits in                          │
+//!   the slack capacity?                               │
+//!     ┌──yes──┴───no───────────────┐                  │
+//!     ▼                            ▼                  ▼
+//!   STABLE APPEND  O(new doc)    REBUILD  O(collection)  (Database::rebuild)
+//!   · build one shard on the     · slack policy: on the pinned grid
+//!     existing grid              · static policy, or an overflowing
+//!   · delta-merge it into the      append: re-derive the grid
+//!     carried merge state        · re-bucket every shard in parallel,
+//!   · extend mega-tree + index     re-merge, replay mega-tree + index,
+//!     in place                     commit in place
+//!     │                            │
+//!     └─────────────┬──────────────┘
+//!                   ▼
+//!   DRIFT TRACKER  (xmlest_core::regrid)
+//!   · per-predicate bucket occupancy of the stored classified
+//!     lists; an append ingests its document, a rebuild recounts
+//!   · drift = skew − baseline-at-derivation
+//!                   │
+//!      drift > threshold?  (auto_refresh)
+//!                   │ yes
+//!                   ▼
+//!   EQUI-DEPTH REFRESH  (Database::refresh_grid)
+//!   · recompute boundaries from the classified lists — zero
+//!     tree traversal
+//!   · re-bucket every shard in parallel on the new grid, merge,
+//!     commit in place
+//!                   │
+//!                   ▼
+//!   EPOCH BUMP → prepared-query cache re-prepares lazily; a
+//!   stale-grid plan is never served
 //! ```
 //!
 //! The refresh re-derives the grid with the same deterministic
@@ -49,13 +50,13 @@
 //! under the same [`GridPolicy`]), so post-refresh estimates are
 //! **bit-identical** to a database built cold on the refreshed
 //! collection — `tests/grid_maintenance.rs` pins this, and the
-//! `grid_maintenance` bench (BENCH_regrid.json) measures the stable
-//! path's O(new doc) margin over the moving path.
+//! `grid_maintenance` bench (BENCH_regrid.json) times one slide (append
+//! the next document, remove the oldest) under each policy.
 //!
-//! State lives in two places: the [`DriftTracker`] (per-predicate
-//! occupancy rows, persisted in catalog v2 sections so a reopened
-//! database resumes accounting) and the session [`MaintenanceCounters`]
-//! (how often each path ran — observability only, reset on reopen).
+//! State lives in two places, both per session: the [`DriftTracker`]
+//! (per-predicate occupancy rows) and the [`MaintenanceCounters`] (how
+//! often each path ran — observability only). Neither is persisted; a
+//! catalog-opened database serves estimates only and starts both empty.
 
 use crate::db::Database;
 use crate::error::{Error, Result};
@@ -83,14 +84,12 @@ pub(crate) const MAX_BACKOFF_SHIFT: u32 = 6;
 pub(crate) struct MaintenanceCounters {
     /// Appends that reused the grid and every existing shard summary.
     pub stable_appends: u64,
-    /// Removals of the newest document that reused grid and shards.
-    pub stable_removes: u64,
     /// Rebuilds that re-derived the grid (static-policy mutations,
     /// overflowing appends, refreshes).
     pub grid_moves: u64,
-    /// Interior removals under the slack policy: every remaining shard
-    /// rebuilt (positions compacted) on the *pinned* grid — as
-    /// expensive as a grid move, without moving the boundaries.
+    /// Removals under the slack policy: every remaining shard rebuilt
+    /// (positions compacted) on the *pinned* grid — as expensive as a
+    /// grid move, without moving the boundaries.
     pub pinned_rebuilds: u64,
     /// Appends that did not fit in the slack capacity.
     pub overflow_appends: u64,
@@ -154,14 +153,15 @@ impl MaintenanceState {
 ///
 /// ## Reset contract
 ///
-/// The cumulative path counters (`stable_appends`, `stable_removes`,
-/// `grid_moves`, `pinned_rebuilds`, `overflow_appends`, `refreshes`,
-/// `auto_refreshes`, `failed_auto_refreshes`, `backoff_skips`) are
-/// **monotonic for the lifetime of the in-process database**: every
-/// rebuild — refresh, interior removal, overflowing append — commits in
-/// place and keeps them, and no API resets them. A catalog reopen starts
-/// them at zero (they are not persisted). Rate them by differencing
-/// successive snapshots. Everything else is a
+/// The cumulative path counters (`stable_appends`, `grid_moves`,
+/// `pinned_rebuilds`, `overflow_appends`, `refreshes`, `auto_refreshes`,
+/// `failed_auto_refreshes`, `backoff_skips`) are **monotonic for the
+/// lifetime of the in-process database**: every rebuild — refresh,
+/// removal, overflowing append — commits in place and keeps them, and
+/// no API resets them. A catalog reopen starts them, and the drift
+/// tracker behind the skew and drift gauges, empty (neither is
+/// persisted). Rate them by differencing successive snapshots.
+/// Everything else is a
 /// **gauge / level**: `skew`, `baseline_skew`, `drift`,
 /// `grid_capacity`, `occupied`, `mutations_since_derive`,
 /// `last_refresh_drift` and `refresh_degraded` move both ways, and
@@ -187,11 +187,9 @@ pub struct MaintenanceStats {
     pub mutations_since_derive: u64,
     /// Appends that reused the grid and every existing shard summary.
     pub stable_appends: u64,
-    /// Removals of the newest document that reused grid and shards.
-    pub stable_removes: u64,
     /// Rebuilds that re-derived the grid.
     pub grid_moves: u64,
-    /// Interior removals that rebuilt every shard on the pinned grid.
+    /// Removals that rebuilt every remaining shard on the pinned grid.
     pub pinned_rebuilds: u64,
     /// Appends that did not fit in the slack capacity.
     pub overflow_appends: u64,

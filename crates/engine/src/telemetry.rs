@@ -318,7 +318,6 @@ impl Telemetry {
         }
         json_u64(&mut out, "mutations_since_derive", m.mutations_since_derive);
         json_u64(&mut out, "stable_appends", m.stable_appends);
-        json_u64(&mut out, "stable_removes", m.stable_removes);
         json_u64(&mut out, "grid_moves", m.grid_moves);
         json_u64(&mut out, "pinned_rebuilds", m.pinned_rebuilds);
         json_u64(&mut out, "overflow_appends", m.overflow_appends);

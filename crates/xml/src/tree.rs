@@ -294,54 +294,6 @@ impl XmlTree {
         self.nodes[0].subtree_end = (self.nodes.len() - 1) as u32;
         NodeId(offset)
     }
-
-    /// Removes the tail subtree starting at position `from` — the
-    /// inverse of [`XmlTree::append_document_subtree`] for the most
-    /// recently appended document. `from` must be a direct child of the
-    /// root whose subtree runs to the end of the arena; no other node's
-    /// id or label changes. Cost is O(removed subtree). Tags interned
-    /// for the removed subtree stay in the interner (they match no
-    /// nodes, which is harmless and keeps every live `TagId` valid).
-    pub fn truncate_last_subtree(&mut self, from: NodeId) -> Result<()> {
-        let idx = from.index();
-        if idx == 0 || idx >= self.nodes.len() {
-            return Err(Error::Builder(format!(
-                "truncate_last_subtree: {from:?} is not a removable subtree root"
-            )));
-        }
-        let n = &self.nodes[idx];
-        if n.parent != 0 || n.subtree_end as usize != self.nodes.len() - 1 {
-            return Err(Error::Builder(format!(
-                "truncate_last_subtree: {from:?} is not the last root-child subtree"
-            )));
-        }
-        // Texts owned by the removed range sit at the tail of `texts`
-        // (builders append text in document order): truncate to the
-        // smallest index referenced by a removed node.
-        let min_text = self.nodes[idx..]
-            .iter()
-            .filter(|n| n.text != NIL)
-            .map(|n| n.text)
-            .min();
-        if let Some(t) = min_text {
-            self.texts.truncate(t as usize);
-        }
-        let keep_attrs = self.attrs.partition_point(|a| a.node < from);
-        self.attrs.truncate(keep_attrs);
-        // Unlink from the previous root child (walk of the root's
-        // children — O(document count), never O(nodes)).
-        let mut child = self.first_child(NodeId(0));
-        while let Some(c) = child {
-            if self.nodes[c.index()].next_sibling == from.0 {
-                self.nodes[c.index()].next_sibling = NIL;
-                break;
-            }
-            child = self.next_sibling(c);
-        }
-        self.nodes.truncate(idx);
-        self.nodes[0].subtree_end = (self.nodes.len() - 1) as u32;
-        Ok(())
-    }
 }
 
 /// Iterator over direct children.
@@ -724,39 +676,6 @@ mod tests {
         // Sibling chain under the root sees the appended document.
         let kids: Vec<_> = got.children(got.root()).collect();
         assert_eq!(kids, vec![NodeId(1), appended_root]);
-    }
-
-    #[test]
-    fn truncate_last_subtree_inverts_append() {
-        use crate::forest::ForestBuilder;
-        let a = crate::parser::parse_str("<a><x>one</x></a>").unwrap();
-        let b = crate::parser::parse_str("<b q=\"1\"><y>two</y></b>").unwrap();
-        let mut fb = ForestBuilder::new();
-        fb.add_tree("a", &a).unwrap();
-        let want = fb.finish().unwrap().into_tree();
-
-        let mut t = want.clone();
-        let root = t.append_document_subtree(&b);
-        t.truncate_last_subtree(root).unwrap();
-        assert_eq!(t.len(), want.len());
-        for n in want.iter() {
-            assert_eq!(t.interval(n), want.interval(n));
-            assert_eq!(t.next_sibling(n), want.next_sibling(n));
-            assert_eq!(t.text(n), want.text(n));
-        }
-        assert_eq!(t.attributes(NodeId(0)).len(), 0);
-        assert_eq!(t.children(t.root()).count(), 1);
-
-        // Append again after truncation still works.
-        let again = t.append_document_subtree(&b);
-        assert_eq!(again, root);
-        assert_eq!(t.text_content(again), "two");
-
-        // Misuse: non-tail and non-root-child targets are rejected.
-        assert!(t.truncate_last_subtree(NodeId(0)).is_err());
-        assert!(t.truncate_last_subtree(NodeId(1)).is_err(), "not the tail");
-        let inner = NodeId(again.0 + 1);
-        assert!(t.truncate_last_subtree(inner).is_err(), "not a root child");
     }
 
     #[test]

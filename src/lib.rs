@@ -69,11 +69,11 @@
 //! summarized into its own [`core::Summaries`] shard on the shared grid
 //! ([`core::shard`]); the mega-tree view is their exact merge, so
 //! documents can be added or dropped without re-parsing or
-//! re-classifying the rest. Everything derived persists in a versioned,
-//! checksummed catalog ([`core::catalog`]); `Database::open_catalog`
-//! restores a serving-ready database with zero tree traversal and
-//! byte-identical estimates. Queries run through a **prepared-query
-//! pipeline** (parse → canonicalize → intern → plan, see
+//! re-classifying the rest. Everything estimation reads persists in a
+//! versioned, checksummed catalog ([`core::catalog`]);
+//! `Database::open_catalog` restores a serving-ready database with zero
+//! tree traversal and byte-identical estimates. Queries run through a
+//! **prepared-query pipeline** (parse → canonicalize → intern → plan, see
 //! [`engine::prepared`] and [`engine::planner`]): equivalent spellings
 //! share one hash-consed identity, cheapest plans memoize per canonical
 //! twig, and a monotonic database *epoch* invalidates prepared state on

@@ -120,9 +120,9 @@ proptest! {
         .expect("collection builds");
         db.estimate("//sec//p").ok();
 
-        // The current format and the v3 fixture, whose COEFFS section
-        // the open walks and discards.
-        for bytes in [db.save_catalog(), V3_FIXTURE.to_vec()] {
+        // The current format and the v3 and v4 fixtures, whose COEFFS
+        // and DRIFT sections the open walks and discards.
+        for bytes in [db.save_catalog(), V3_FIXTURE.to_vec(), V4_FIXTURE.to_vec()] {
             // Any truncation is rejected.
             let cut = cut_seed % bytes.len();
             prop_assert!(Database::open_catalog(&bytes[..cut]).is_err());
@@ -167,32 +167,36 @@ proptest! {
         )
         .expect("collection builds");
         db.estimate("//sec//p").ok();
-        let bytes = db.save_catalog();
 
-        let mut bad = bytes.clone();
-        if truncate_first == 1 {
-            bad.truncate(cut_seed % bad.len());
-        }
-        if !bad.is_empty() {
-            for &(pos_seed, xor) in &flips {
-                let pos = pos_seed % bad.len();
-                bad[pos] ^= xor;
+        // The current format and the v4 fixture, whose DRIFT section
+        // the open walks and discards.
+        for bytes in [db.save_catalog(), V4_FIXTURE.to_vec()] {
+            let mut bad = bytes.clone();
+            if truncate_first == 1 {
+                bad.truncate(cut_seed % bad.len());
             }
-        }
+            if !bad.is_empty() {
+                for &(pos_seed, xor) in &flips {
+                    let pos = pos_seed % bad.len();
+                    bad[pos] ^= xor;
+                }
+            }
 
-        // Strict: anything that differs from the saved bytes errors.
-        // (Flips can land on the same position and cancel, so compare.)
-        if bad != bytes {
-            prop_assert!(
-                Database::open_catalog(&bad).is_err(),
-                "damaged catalog accepted strictly"
-            );
-        }
-        // Lenient: may degrade, may reject — must not panic, and a
-        // success must serve estimates without panicking either.
-        if let Ok((degraded, report)) = Database::open_catalog_degraded(&bad) {
-            let _ = report.is_clean();
-            let _ = degraded.estimate("//sec//p");
+            // Strict: anything that differs from the saved bytes errors.
+            // (Flips can land on the same position and cancel, so
+            // compare.)
+            if bad != bytes {
+                prop_assert!(
+                    Database::open_catalog(&bad).is_err(),
+                    "damaged catalog accepted strictly"
+                );
+            }
+            // Lenient: may degrade, may reject — must not panic, and a
+            // success must serve estimates without panicking either.
+            if let Ok((degraded, report)) = Database::open_catalog_degraded(&bad) {
+                let _ = report.is_clean();
+                let _ = degraded.estimate("//sec//p");
+            }
         }
     }
 }
@@ -366,7 +370,8 @@ fn assert_v4_estimates(db: &Database, what: &str) {
 
 /// A **version 4** catalog carrying a DRIFT section opens under both
 /// modes with a clean report and estimates to the bits its writer
-/// served; its re-save reopens to the same bits.
+/// served. The open walks the section and builds no tracker, so drift
+/// accounting starts empty, and the re-save carries no DRIFT section.
 #[test]
 fn v4_catalog_fixture_with_drift_keeps_estimates() {
     assert_eq!(&V4_FIXTURE[..4], b"XCTL");
@@ -387,10 +392,14 @@ fn v4_catalog_fixture_with_drift_keeps_estimates() {
             vec!["c.xml", "d.xml", "e.xml", "f.xml"]
         );
         assert_v4_estimates(db, what);
+        let stats = db.telemetry().maintenance;
+        assert_eq!(stats.mutations_since_derive, 0, "{what}");
+        assert_eq!(stats.skew, 0.0, "{what}");
     }
 
     let resaved = strict.save_catalog();
     assert_eq!(version(&resaved), 4);
+    assert!(frames(&resaved).iter().all(|(kind, _)| *kind != SEC_DRIFT));
     let again = Database::open_catalog(&resaved).expect("re-save opens");
     assert_v4_estimates(&again, "re-save");
 }
@@ -594,6 +603,16 @@ fn inflated_length_prefix_with_valid_checksums_is_rejected() {
         let entries_at = entries_at.expect("the fixture holds a table");
         cases.push((format!("{name} entry count"), inflate(fixture, entries_at)));
     }
+    // The v4 fixture's DRIFT row count: after g u16, baseline f64 and
+    // mutations u64.
+    let (_, drift) = frames(V4_FIXTURE)
+        .into_iter()
+        .find(|(k, _)| *k == SEC_DRIFT)
+        .expect("the v4 fixture has a DRIFT section");
+    cases.push((
+        "v4 drift row count".into(),
+        inflate(V4_FIXTURE, drift.start + 2 + 8 + 8),
+    ));
 
     for (what, bad) in &cases {
         match Database::open_catalog(bad) {
