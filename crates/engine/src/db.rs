@@ -646,13 +646,13 @@ impl Database {
     ///   auto-refresh policy, a threshold crossing triggers an
     ///   equi-depth refresh before returning.
     /// * **Moving append** (static policy, or the document overflows the
-    ///   slack): [`Database::rebuild`] re-derives the grid under the
+    ///   slack): the collection rebuild re-derives the grid under the
     ///   policy and rebuilds every shard from its stored classified
     ///   lists (never re-parsed, never re-classified); the drift tracker
     ///   is rebuilt with the grid, so drift restarts at zero.
     ///
-    /// Removing the document later goes through [`Database::rebuild`]
-    /// like any other removal ([`Database::remove_document`]).
+    /// Removing the document later rebuilds the collection like any
+    /// other removal ([`Database::remove_document`]).
     ///
     /// Only databases built with [`Database::load_documents`] support
     /// this; single-document and catalog-opened databases return
@@ -789,7 +789,7 @@ impl Database {
         Ok(())
     }
 
-    /// Removes a document by name through [`Database::rebuild`], at any
+    /// Removes a document by name through the collection rebuild, at any
     /// position in the collection: the remaining documents' positions
     /// compact, their shards re-bucket from the stored classified lists,
     /// and the mega-tree and element index replay. Under the slack
