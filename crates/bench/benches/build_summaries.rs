@@ -6,6 +6,10 @@
 //!   generators, sizes and seeds, [`mixed_window`]), serially: the
 //!   re-bucket a refresh, an interior removal or a cold load pays,
 //!   without the thread fan-out.
+//! * `shards_par/<layout>-<g>` — the same builds through the rayon
+//!   shim's `par_iter`, the fan-out the engine's collection rebuild
+//!   runs them with. `shards ÷ shards_par` is that fan-out's speedup on
+//!   the recording machine's cores.
 //! * `merge/<layout>-<g>` — [`merge_shards_stateful`] over those shards.
 //! * `build/<workload>/<layout>-<g>` — [`Summaries::build`] on the dblp
 //!   and dept workloads (one classification pass, then the
@@ -18,6 +22,7 @@
 //! artifact (CI does).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rayon::prelude::*;
 use std::hint::black_box;
 use xmlest_bench::{dblp_workload, dept_workload, mixed_window};
 use xmlest_core::shard::{
@@ -88,6 +93,17 @@ fn bench_shards(c: &mut Criterion) {
         };
         group.bench_function(BenchmarkId::new("shards", &label), |b| {
             b.iter(|| build().len())
+        });
+        group.bench_function(BenchmarkId::new("shards_par", &label), |b| {
+            b.iter(|| {
+                placed
+                    .par_iter()
+                    .map(|&(input, off)| {
+                        build_shard_summaries(input, off, &grid, &catalog, &config)
+                    })
+                    .collect::<Vec<Summaries>>()
+                    .len()
+            })
         });
         let shards = build();
         let refs: Vec<&Summaries> = shards.iter().collect();

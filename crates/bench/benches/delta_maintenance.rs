@@ -30,14 +30,10 @@ fn collection(n: usize, records: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-/// A slack policy with auto-refresh off, so the load builds the padded
-/// grid an appending collection serves on.
+/// A slack policy, so the load builds the padded grid an appending
+/// collection serves on.
 fn slack() -> GridPolicy {
-    GridPolicy::Slack {
-        slack_percent: 100,
-        drift_threshold: 1.0,
-        auto_refresh: false,
-    }
+    GridPolicy::Slack { slack_percent: 100 }
 }
 
 fn load(docs: &[(String, String)], policy: GridPolicy) -> Database {

@@ -13,7 +13,7 @@
 //!   whether the grid moves.
 //! * `grid_refresh` — a full equi-depth refresh (boundaries recomputed
 //!   from the classified lists, all shards rebuilt in parallel, atomic
-//!   swap): the price the drift threshold amortizes.
+//!   swap): the price of one `refresh_grid` call.
 //!
 //! Run with `XMLEST_BENCH_JSON=BENCH_regrid.json cargo bench --bench
 //! grid_maintenance` to capture the numbers (CI does). Maintenance
@@ -48,14 +48,9 @@ fn load(docs: &[(String, String)], policy: GridPolicy) -> Database {
     .expect("collection builds")
 }
 
-/// Slack wide enough that the benched append always fits; the huge
-/// threshold (with auto off) keeps the measurement to the slide itself.
+/// Slack wide enough that the benched append always fits.
 fn slack() -> GridPolicy {
-    GridPolicy::Slack {
-        slack_percent: 100,
-        drift_threshold: 1.0,
-        auto_refresh: false,
-    }
+    GridPolicy::Slack { slack_percent: 100 }
 }
 
 /// Appends window document `next` (contents cycle through `docs`, so
@@ -89,11 +84,10 @@ fn bench_append(c: &mut Criterion) {
         );
         eprintln!(
             "grid_append/stable/{n}: stable_appends {} pinned_rebuilds {} \
-             grid_moves {} drift {:.4} slack_remaining {}",
+             grid_moves {} slack_remaining {}",
             s.stable_appends,
             s.pinned_rebuilds,
             s.grid_moves,
-            s.drift,
             s.slack_remaining(),
         );
 

@@ -1,6 +1,11 @@
 //! Substrate benchmarks: the pieces under the estimator — XML parsing,
 //! interval labeling (free with our arena), exact matching, structural
 //! joins and the optimizer's plan search.
+//!
+//! `substrate/xml_parse/dblp_2k_records` is the parser's baseline.
+//! Run with `XMLEST_BENCH_JSON=$PWD/BENCH_substrate.json
+//! XMLEST_BENCH_FAST=1 cargo bench -p xmlest-bench --bench substrate` to
+//! write the artifact (CI does).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

@@ -117,7 +117,7 @@ pub fn mixed_window(seed: u64, docs: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Default `dept` scale of the `substrate` and `ablations` benches (kept
+/// Default `dept` scale of the `substrate` bench (kept
 /// moderate so `cargo bench` finishes quickly; `paper_tables` accepts
 /// larger scales).
 pub const DEPT_BENCH_NODES: usize = 2_500;

@@ -19,10 +19,6 @@
 //! * one summary shard per document ([`CatalogShard`]: name, position
 //!   offset, its own [`Summaries`] over the shared grid).
 //!
-//! The drift tracker (`crate::regrid::DriftTracker`) is not persisted: a
-//! catalog-opened database serves estimates only and never mutates, so
-//! it starts an empty tracker.
-//!
 //! ## Wire layout (version 4)
 //!
 //! ```text
@@ -38,6 +34,9 @@
 //!               build_levels u8
 //!   policy   := 0u8 | (1u8, slack_percent u32, drift_threshold f64,
 //!                      auto_refresh u8)
+//!               drift_threshold and auto_refresh are retired: written
+//!               as 1.0 and 0 (an older reader takes that as "never
+//!               refresh automatically"), read and dropped
 //!   grid     := the explicit collection grid
 //!   total    := mega-tree node count u64 (root included)
 //!   catalog  := count u32, { name str, base_pred }*
@@ -210,15 +209,12 @@ fn frame(payload: &mut Writer, kind: u8, body: &[u8]) {
 fn write_policy(w: &mut Writer, policy: &GridPolicy) {
     match policy {
         GridPolicy::Static => w.u8(0),
-        GridPolicy::Slack {
-            slack_percent,
-            drift_threshold,
-            auto_refresh,
-        } => {
+        GridPolicy::Slack { slack_percent } => {
             w.u8(1);
             w.u32(*slack_percent);
-            w.f64(*drift_threshold);
-            w.u8(*auto_refresh as u8);
+            // The two retired fields (see the wire layout).
+            w.f64(1.0);
+            w.u8(0);
         }
     }
 }
@@ -226,11 +222,13 @@ fn write_policy(w: &mut Writer, policy: &GridPolicy) {
 fn read_policy(r: &mut Reader) -> Result<GridPolicy> {
     match r.u8()? {
         0 => Ok(GridPolicy::Static),
-        1 => Ok(GridPolicy::Slack {
-            slack_percent: r.u32()?,
-            drift_threshold: r.f64()?,
-            auto_refresh: r.u8()? == 1,
-        }),
+        1 => {
+            let slack_percent = r.u32()?;
+            // The retired drift_threshold and auto_refresh fields.
+            r.f64()?;
+            r.u8()?;
+            Ok(GridPolicy::Slack { slack_percent })
+        }
         k => Err(Error::Corrupt(format!("unknown grid policy tag {k}"))),
     }
 }
@@ -984,11 +982,7 @@ mod tests {
     #[test]
     fn policy_round_trips_and_drift_frames_are_skipped() {
         let mut file = sample();
-        file.policy = GridPolicy::Slack {
-            slack_percent: 35,
-            drift_threshold: 0.22,
-            auto_refresh: true,
-        };
+        file.policy = GridPolicy::Slack { slack_percent: 35 };
         file.config.policy = file.policy;
         let back = CatalogFile::from_bytes(&file.to_bytes()).unwrap();
         assert_eq!(back.policy, file.policy);

@@ -62,8 +62,7 @@ pub mod parent_child;
 pub mod ph_join;
 /// Sparse CSR position histograms over grid cells.
 pub mod position_histogram;
-/// Grid maintenance policies: slack capacity and drift tracking for the
-/// equi-depth refresh.
+/// Grid maintenance policy: the slack capacity stable appends reuse.
 pub mod regrid;
 /// Per-document summary shards and shard merging.
 pub mod shard;
@@ -82,7 +81,7 @@ pub use grid::{Cell, Grid};
 pub use no_overlap::{CoverageRef, NodeStats, StatsSlot, StatsView, TwigWorkspace};
 pub use ph_join::{ph_join, ph_join_total, Basis, JoinWorkspace};
 pub use position_histogram::{FlatHistogram, PositionHistogram};
-pub use regrid::{DriftTracker, GridPolicy};
+pub use regrid::GridPolicy;
 pub use store::{
     CatalogStore, CrashView, FaultPlan, FsBackend, MemBackend, SkippedGeneration, StorageBackend,
 };

@@ -3,8 +3,7 @@
 //! The paper evaluates on DBLP, XMark, the Shakespeare plays and an
 //! IBM-XML-generator synthetic data set. None of those inputs ship with
 //! this reproduction, so each has a deterministic stand-in that preserves
-//! the properties the estimator is sensitive to (see DESIGN.md §2 for the
-//! substitution argument):
+//! the properties the estimator is sensitive to:
 //!
 //! * [`dblp`] — flat bibliography records with realistic tag frequencies,
 //!   year distributions and `conf/`-`journals/` cite keys (Tables 1–2);

@@ -29,9 +29,7 @@
 //! [`PositionHistogram::plus`]: xmlest_core::PositionHistogram::plus
 
 use crate::error::{Error, Result};
-use crate::maintenance::{
-    MaintenanceState, MaintenanceStats, DEGRADED_AFTER_STRIKES, MAX_BACKOFF_SHIFT,
-};
+use crate::maintenance::{MaintenanceCounters, MaintenanceStats};
 use crate::prepared::{CacheTier, LeafResolution, PreparedCache, PreparedQuery, TwigId};
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::telemetry::{edge_kernels, Metrics, Telemetry, TraceReport};
@@ -46,7 +44,7 @@ use xmlest_core::shard::{
     DocumentSummaryInput, MergeState,
 };
 use xmlest_core::store::{CatalogStore, SkippedGeneration};
-use xmlest_core::{DriftTracker, Estimate, Grid, Summaries, SummaryConfig, TwigNode};
+use xmlest_core::{Estimate, Grid, Summaries, SummaryConfig, TwigNode};
 use xmlest_predicate::{BasePredicate, Catalog, PredExpr};
 use xmlest_query::structural::Item;
 use xmlest_query::{count_matches, parse_path};
@@ -62,31 +60,21 @@ pub(crate) mod test_faults {
     use std::cell::Cell;
 
     thread_local! {
-        /// Number of upcoming [`super::derive_collection`] calls on this
-        /// thread to fail artificially (multi-shot: each failure
-        /// decrements, so a test can arm a whole losing streak to
-        /// exercise the backoff and degraded-flag escalation).
-        /// Thread-local because mutations run on the calling thread:
-        /// an armed count can never leak into a test running in
-        /// parallel.
-        static FAIL_REBUILDS: Cell<u32> = const { Cell::new(0) };
+        /// Whether the next [`super::derive_collection`] call on this
+        /// thread fails artificially. Thread-local because mutations
+        /// run on the calling thread: an armed failure can never leak
+        /// into a test running in parallel.
+        static FAIL_NEXT_REBUILD: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Arms the next `n` rebuilds on this thread to fail (1 for the
-    /// classic one-shot, 0 to disarm).
-    pub(crate) fn arm(n: u32) {
-        FAIL_REBUILDS.with(|c| c.set(n));
+    /// Arms the next rebuild on this thread to fail.
+    pub(crate) fn arm() {
+        FAIL_NEXT_REBUILD.with(|c| c.set(true));
     }
 
-    /// Consumes one armed failure, if any.
+    /// Consumes the armed failure, if any.
     pub(crate) fn take_rebuild_failure() -> bool {
-        FAIL_REBUILDS.with(|c| match c.get() {
-            0 => false,
-            n => {
-                c.set(n - 1);
-                true
-            }
-        })
+        FAIL_NEXT_REBUILD.with(|c| c.replace(false))
     }
 }
 
@@ -265,9 +253,9 @@ pub struct Database {
     /// Survives collection mutations — the epoch check re-prepares
     /// entries lazily.
     prepared: PreparedCache,
-    /// Grid maintenance: drift accounting over the classified lists and
-    /// the stable/moving path counters ([`crate::maintenance`]).
-    maintenance: MaintenanceState,
+    /// Grid maintenance: the stable/moving path counters
+    /// ([`crate::maintenance`]).
+    maintenance: MaintenanceCounters,
     /// Documents whose shard sections were quarantined by a degraded
     /// catalog open ([`Database::open_catalog_degraded`]): the rest of
     /// the collection serves, these estimate as absent until
@@ -322,22 +310,21 @@ fn initial_serving(
 }
 
 /// What a collection rebuild derives from the classified inputs: each
-/// document's offset and shard summaries (input order), their merged
-/// view and fold state, and the drift tracker anchored to their grid.
+/// document's offset and shard summaries (input order), and their
+/// merged view and fold state.
 struct Derived {
     placed: Vec<(u32, Summaries)>,
     merged: Summaries,
     state: MergeState,
-    tracker: DriftTracker,
 }
 
 /// The derive step every collection rebuild shares — the cold load, the
 /// refresh, an interior removal and an overflowing append: the grid
 /// (`pinned`, or re-derived under the config's policy), every shard
-/// summary built on it in parallel, their stateful merge, and the drift
-/// tracker. It only reads the classified inputs, so a failure leaves
-/// the caller's state untouched. The grid derivation is deterministic,
-/// so a refresh and a cold load of the same collection agree exactly.
+/// summary built on it in parallel, and their stateful merge. It only
+/// reads the classified inputs, so a failure leaves the caller's state
+/// untouched. The grid derivation is deterministic, so a refresh and a
+/// cold load of the same collection agree exactly.
 fn derive_collection(
     inputs: &[(&DocumentSummaryInput, u32)],
     catalog: &Catalog,
@@ -352,7 +339,6 @@ fn derive_collection(
         Some(g) => g,
         None => make_collection_grid(inputs, catalog, config)?,
     };
-    let tracker = DriftTracker::from_inputs(&grid, catalog, inputs);
     // Per-document shard builds fan out across cores.
     let placed: Vec<(u32, Summaries)> = inputs
         .par_iter()
@@ -367,7 +353,6 @@ fn derive_collection(
         placed,
         merged,
         state,
-        tracker,
     })
 }
 
@@ -416,7 +401,6 @@ impl Database {
     pub fn new(tree: XmlTree, catalog: Catalog, config: &SummaryConfig) -> Result<Database> {
         let summaries = Arc::new(Summaries::build(&tree, &catalog, config)?);
         let index = ElementIndex::build(&tree, &catalog);
-        let maintenance = MaintenanceState::new(summaries.grid().g());
         let obs = Recorder::new();
         let metrics = Metrics::register(&obs);
         let serving = initial_serving(false, &summaries, &obs, &metrics);
@@ -430,7 +414,7 @@ impl Database {
             index,
             epoch: 1,
             prepared: PreparedCache::with_recorder(crate::prepared::PREPARED_CACHE_CAP, &obs),
-            maintenance,
+            maintenance: MaintenanceCounters::default(),
             quarantine: Vec::new(),
             merge_state: None,
             serving,
@@ -495,9 +479,9 @@ impl Database {
 
     /// Builds a collection database from per-document state: offsets,
     /// the [`derive_collection`] step (grid, shard summaries in
-    /// parallel, merged view, drift tracker), the mega-tree (replayed
-    /// from the already-parsed document trees — no XML re-parse) and the
-    /// element index (concatenated from the classified lists).
+    /// parallel, merged view), the mega-tree (replayed from the
+    /// already-parsed document trees — no XML re-parse) and the element
+    /// index (concatenated from the classified lists).
     /// Classification is never repeated.
     fn from_collection(
         catalog: Catalog,
@@ -536,7 +520,7 @@ impl Database {
             index,
             epoch: 1,
             prepared: PreparedCache::with_recorder(crate::prepared::PREPARED_CACHE_CAP, &obs),
-            maintenance: MaintenanceState::with_tracker(derived.tracker),
+            maintenance: MaintenanceCounters::default(),
             quarantine: Vec::new(),
             merge_state: Some(derived.state),
             serving,
@@ -569,10 +553,10 @@ impl Database {
     /// or a re-derived grid) and — when documents moved — replays the
     /// mega-tree and re-derives the element index from the classified
     /// lists. Only then does it commit: shards take their new offsets
-    /// and summaries; the merged view, fold state, drift tracker,
-    /// mega-tree and index are replaced. The epoch bumps and the
-    /// successor snapshot publishes. The prepared cache, counters,
-    /// serving cell and recorder carry over untouched.
+    /// and summaries; the merged view, fold state, mega-tree and index
+    /// are replaced. The epoch bumps and the successor snapshot
+    /// publishes. The prepared cache, counters, serving cell and recorder
+    /// carry over untouched.
     ///
     /// A refresh moves no document, so it keeps the mega-tree and the
     /// element index. A failure returns before the commit and changes
@@ -627,7 +611,6 @@ impl Database {
         }
         self.summaries = Arc::new(derived.merged);
         self.merge_state = Some(derived.state);
-        self.maintenance.tracker = derived.tracker;
         self.epoch += 1;
         self.publish_snapshot();
         Ok(())
@@ -642,14 +625,14 @@ impl Database {
     ///   existing shard summary is reused verbatim (zero re-bucketing),
     ///   the merged view extends by the new shard alone ([`merge_delta`])
     ///   and the mega-tree and element index extend in place — O(new
-    ///   document). The drift tracker ingests the document and, under an
-    ///   auto-refresh policy, a threshold crossing triggers an
-    ///   equi-depth refresh before returning.
+    ///   document). The grid does not move.
     /// * **Moving append** (static policy, or the document overflows the
     ///   slack): the collection rebuild re-derives the grid under the
     ///   policy and rebuilds every shard from its stored classified
-    ///   lists (never re-parsed, never re-classified); the drift tracker
-    ///   is rebuilt with the grid, so drift restarts at zero.
+    ///   lists (never re-parsed, never re-classified).
+    ///
+    /// Neither path refreshes the grid on its own; that is
+    /// [`Database::refresh_grid`], which only the caller invokes.
     ///
     /// Removing the document later rebuilds the collection like any
     /// other removal ([`Database::remove_document`]).
@@ -707,11 +690,9 @@ impl Database {
         let fits = occupied + input.node_count as u64 <= capacity;
         if self.config.policy.is_slack() {
             if fits {
-                self.append_within_slack(name.into(), doc_tree, input)?;
-                self.auto_refresh_if_needed();
-                return Ok(());
+                return self.append_within_slack(name.into(), doc_tree, input);
             }
-            self.maintenance.counters.overflow_appends += 1;
+            self.maintenance.overflow_appends += 1;
         }
 
         // Moving path: rebuild on a re-derived grid. A failure changes
@@ -723,7 +704,7 @@ impl Database {
             input,
         });
         self.rebuild(Rebuild::Append(name.into(), doc), None)?;
-        self.maintenance.counters.grid_moves += 1;
+        self.maintenance.grid_moves += 1;
         Ok(())
     }
 
@@ -731,7 +712,7 @@ impl Database {
     /// existing grid, extend the merged view by that shard alone
     /// ([`merge_delta`] resuming the carried [`MergeState`] —
     /// O(new-doc cells), bit-identical to re-merging every shard), and
-    /// extend the mega-tree and element index in place, ingest drift.
+    /// extend the mega-tree and element index in place.
     /// A database without a carried state (e.g. freshly repaired) takes
     /// the full stateful merge once, which re-establishes it.
     /// All fallible work happens before the first mutation.
@@ -769,10 +750,7 @@ impl Database {
         tree.append_document_subtree(&doc_tree);
         self.index
             .append_document(&self.catalog, &input, offset, new_total);
-        self.maintenance
-            .tracker
-            .ingest_document(&grid, &self.catalog, &input, offset);
-        self.maintenance.counters.stable_appends += 1;
+        self.maintenance.stable_appends += 1;
         self.summaries = Arc::new(merged);
         self.merge_state = Some(merge_state);
         self.shards.push(DocShard {
@@ -794,37 +772,23 @@ impl Database {
     /// compact, their shards re-bucket from the stored classified lists,
     /// and the mega-tree and element index replay. Under the slack
     /// policy the grid never moves — the rebuild runs on the **pinned**
-    /// grid and drift accounting carries forward; under the static
-    /// policy the grid re-derives as well. Nothing is re-parsed or
-    /// re-classified; the catalog keeps its predicate definitions, and
-    /// tags now matching nothing summarize as empty. A failed removal
-    /// changes nothing.
+    /// grid; under the static policy the grid re-derives as well.
+    /// Nothing is re-parsed or re-classified; the catalog keeps its
+    /// predicate definitions, and tags now matching nothing summarize as
+    /// empty. A failed removal changes nothing.
     pub fn remove_document(&mut self, name: &str) -> Result<()> {
         self.require_collection()?;
         let Some(pos) = self.shards.iter().position(|s| s.name == name) else {
             return Err(Error::NoData(format!("no document named {name:?}")));
         };
-        let pinned = self
-            .config
-            .policy
-            .is_slack()
-            .then(|| self.summaries.grid().clone());
-        if pinned.is_none() {
+        if !self.config.policy.is_slack() {
             self.rebuild(Rebuild::Remove(pos), None)?;
-            self.maintenance.counters.grid_moves += 1;
+            self.maintenance.grid_moves += 1;
             return Ok(());
         }
-        // Pinned grid: the boundaries do not move, so the baseline
-        // recorded at the last derivation (and the mutation count) stay
-        // in force.
-        let baseline = self.maintenance.tracker.baseline();
-        let mutations = self.maintenance.tracker.mutations();
-        self.rebuild(Rebuild::Remove(pos), pinned)?;
-        self.maintenance
-            .tracker
-            .restore_continuity(baseline, mutations);
-        self.maintenance.counters.pinned_rebuilds += 1;
-        self.auto_refresh_if_needed();
+        let pinned = self.summaries.grid().clone();
+        self.rebuild(Rebuild::Remove(pos), Some(pinned))?;
+        self.maintenance.pinned_rebuilds += 1;
         Ok(())
     }
 
@@ -839,137 +803,38 @@ impl Database {
     /// query (and memoized plan) re-prepares lazily; the grid derivation
     /// is deterministic, so the refreshed database estimates
     /// bit-identically to one built cold on the same collection. A
-    /// failed refresh changes nothing.
+    /// failed refresh changes nothing and returns its error.
     ///
-    /// Fires automatically when drift crosses the policy threshold
-    /// (under [`xmlest_core::GridPolicy::Slack`] with `auto_refresh`);
-    /// this is the manual entry point.
+    /// No mutation refreshes the grid on its own: this call is the only
+    /// trigger.
     pub fn refresh_grid(&mut self) -> Result<()> {
         self.require_collection()?;
-        let drift = self.maintenance.tracker.drift();
-        self.refresh_inner(false, drift)
-    }
-
-    /// Fires a refresh when the policy says drift warrants one; called
-    /// at the end of every successful mutation.
-    ///
-    /// Never fails: by the time this runs the hosting mutation has
-    /// committed, so returning its error would break the mutation's
-    /// atomic-failure contract (a caller retrying the "failed" add
-    /// would insert the document twice). A refresh that cannot rebuild
-    /// changes nothing (the database keeps serving consistently on the
-    /// old grid, drift stays high) and is surfaced through the
-    /// `failed_auto_refreshes` counter; the next mutation — or a manual
-    /// [`Database::refresh_grid`], which does report errors — retries.
-    ///
-    /// Retries are **bounded**: consecutive failures open an exponential
-    /// backoff window (`2^min(strikes−1, 6)` mutations), so a persistent
-    /// rebuild problem does not charge every mutation an O(collection)
-    /// doomed attempt. After [`DEGRADED_AFTER_STRIKES`] consecutive
-    /// failures the visible [`MaintenanceStats::refresh_degraded`] flag
-    /// raises; any successful refresh (auto or manual) clears the
-    /// strikes, the window and the flag.
-    fn auto_refresh_if_needed(&mut self) {
-        if !self.config.policy.auto_refresh() {
-            return;
-        }
-        let Some(threshold) = self.config.policy.drift_threshold() else {
-            return;
-        };
-        self.maintenance.counters.mutation_clock += 1;
-        let drift = self.maintenance.tracker.drift();
-        if drift <= threshold {
-            return;
-        }
-        if self.maintenance.counters.mutation_clock
-            < self.maintenance.counters.refresh_backoff_until
-        {
-            self.maintenance.counters.backoff_skips += 1;
-            self.obs.event(
-                EventKind::BackoffSkip,
-                self.epoch,
-                self.maintenance.counters.mutation_clock,
-                self.maintenance.counters.refresh_backoff_until,
-            );
-            return;
-        }
-        if self.refresh_inner(true, drift).is_err() {
-            let c = &mut self.maintenance.counters;
-            c.failed_auto_refreshes += 1;
-            c.refresh_strikes += 1;
-            c.refresh_backoff_until =
-                c.mutation_clock + (1u64 << (c.refresh_strikes - 1).min(MAX_BACKOFF_SHIFT));
-            let entered_degraded =
-                !c.refresh_degraded && c.refresh_strikes >= DEGRADED_AFTER_STRIKES;
-            if c.refresh_strikes >= DEGRADED_AFTER_STRIKES {
-                c.refresh_degraded = true;
-            }
-            let strikes = c.refresh_strikes as u64;
-            let window = c.refresh_backoff_until - c.mutation_clock;
-            self.obs
-                .event(EventKind::RefreshStrike, self.epoch, strikes, window);
-            if entered_degraded {
-                self.obs
-                    .event(EventKind::DegradedEnter, self.epoch, strikes, 0);
-            }
-        }
-    }
-
-    fn refresh_inner(&mut self, auto: bool, drift_at: f64) -> Result<()> {
         // Clone the handle so the span doesn't hold a borrow of `self`
         // across the mutating refresh below.
         let obs = self.obs.clone();
         let _span = obs.span(Stage::Refresh);
         self.rebuild(Rebuild::Refresh, None)?;
-        let c = &mut self.maintenance.counters;
-        c.refreshes += 1;
-        c.grid_moves += 1;
-        if auto {
-            c.auto_refreshes += 1;
-        }
-        c.last_refresh_drift = drift_at;
-        // A successful refresh ends any losing streak.
-        c.refresh_strikes = 0;
-        c.refresh_backoff_until = 0;
-        let was_degraded = std::mem::take(&mut c.refresh_degraded);
-        self.obs.event(
-            EventKind::Refresh,
-            self.epoch,
-            self.shards.len() as u64,
-            (drift_at * 1e6).max(0.0) as u64,
-        );
-        if was_degraded {
-            self.obs.event(EventKind::DegradedExit, self.epoch, 0, 0);
-        }
+        self.maintenance.refreshes += 1;
+        self.maintenance.grid_moves += 1;
+        self.obs
+            .event(EventKind::Refresh, self.epoch, self.shards.len() as u64, 0);
         Ok(())
     }
 
     /// Snapshot of the grid maintenance layer: policy, capacity and
-    /// occupancy, drift against the threshold, and per-path counters
-    /// (read it as [`Telemetry::maintenance`]).
+    /// occupancy, and per-path counters (read it as
+    /// [`Telemetry::maintenance`]).
     fn maintenance_stats(&self) -> MaintenanceStats {
-        let c = self.maintenance.counters;
-        let t = &self.maintenance.tracker;
+        let c = self.maintenance;
         MaintenanceStats {
             policy: self.config.policy,
             grid_capacity: self.summaries.grid().max_pos() as u64 + 1,
             occupied: self.summaries.tree_nodes(),
-            skew: t.skew(),
-            baseline_skew: t.baseline(),
-            drift: t.drift(),
-            drift_threshold: self.config.policy.drift_threshold(),
-            mutations_since_derive: t.mutations(),
             stable_appends: c.stable_appends,
             grid_moves: c.grid_moves,
             pinned_rebuilds: c.pinned_rebuilds,
             overflow_appends: c.overflow_appends,
             refreshes: c.refreshes,
-            auto_refreshes: c.auto_refreshes,
-            failed_auto_refreshes: c.failed_auto_refreshes,
-            last_refresh_drift: c.last_refresh_drift,
-            refresh_strikes: c.refresh_strikes,
-            backoff_skips: c.backoff_skips,
-            refresh_degraded: c.refresh_degraded,
         }
     }
 
@@ -1055,10 +920,9 @@ impl Database {
     }
 
     /// The shared serving-only constructor behind the catalog opens. It
-    /// rejects every mutation and refresh, so its drift tracker starts
-    /// empty.
+    /// rejects every mutation and refresh, so its path counters stay at
+    /// zero.
     fn from_catalog_file(file: CatalogFile, quarantine: Vec<QuarantinedShard>) -> Database {
-        let maintenance = MaintenanceState::new(file.merged.grid().g());
         let summaries = Arc::new(file.merged);
         let obs = Recorder::new();
         let metrics = Metrics::register(&obs);
@@ -1082,7 +946,7 @@ impl Database {
             index: ElementIndex::default(),
             epoch: 1,
             prepared: PreparedCache::with_recorder(crate::prepared::PREPARED_CACHE_CAP, &obs),
-            maintenance,
+            maintenance: MaintenanceCounters::default(),
             quarantine,
             merge_state: None,
             serving,
@@ -1424,7 +1288,6 @@ impl Database {
         Telemetry::gather(
             &self.obs,
             self.epoch,
-            self.is_degraded(),
             self.quarantine.len(),
             self.prepared.stats(),
             self.maintenance_stats(),
@@ -1814,7 +1677,7 @@ mod tests {
         let before = d.estimate("//a//x").unwrap().value;
         let epoch = d.epoch();
 
-        test_faults::arm(1);
+        test_faults::arm();
         assert!(d.add_document("c.xml", "<a><x/><z/></a>").is_err());
         assert_eq!(d.epoch(), epoch, "failed mutation must not bump the epoch");
         assert_eq!(d.document_names(), vec!["a.xml", "b.xml"]);
@@ -1831,7 +1694,7 @@ mod tests {
         assert_eq!(d.count("//a//x").unwrap(), 3);
 
         // Removal rolls back too, preserving document order.
-        test_faults::arm(1);
+        test_faults::arm();
         assert!(d.remove_document("a.xml").is_err());
         assert_eq!(d.document_names(), vec!["a.xml", "b.xml", "c.xml"]);
         assert_eq!(d.count("//a//x").unwrap(), 3);
@@ -1839,12 +1702,12 @@ mod tests {
         assert_eq!(d.document_names(), vec!["b.xml", "c.xml"]);
         assert_eq!(d.count("//a//x").unwrap(), 1);
 
-        // So does a manual refresh: same epoch, grid, documents and
+        // So does a refresh: same epoch, grid, documents and
         // estimates, and the retried refresh succeeds.
         let epoch = d.epoch();
         let grid = d.summaries().grid().clone();
         let before = d.estimate("//a//x").unwrap().value;
-        test_faults::arm(1);
+        test_faults::arm();
         assert!(d.refresh_grid().is_err());
         assert_eq!(d.epoch(), epoch, "failed refresh must not bump the epoch");
         assert_eq!(d.summaries().grid(), &grid);
@@ -1856,56 +1719,6 @@ mod tests {
         assert_eq!(d.telemetry().maintenance.refreshes, 0);
         d.refresh_grid().unwrap();
         assert_eq!(d.telemetry().maintenance.refreshes, 1);
-    }
-
-    /// A drift-triggered refresh that fails to rebuild must not unwind
-    /// (or mis-report) the mutation that hosted it: the mutation has
-    /// already committed, so the refresh failure is absorbed into the
-    /// `failed_auto_refreshes` counter and retried by the next
-    /// mutation. Returning the error instead would invite a caller to
-    /// retry the add and insert the document twice.
-    #[test]
-    fn failed_auto_refresh_does_not_unwind_the_mutation() {
-        // A wide, evenly spread initial document keeps the baseline
-        // skew low; the appended pile of same-tag leaves lands in the
-        // tail buckets, so skew — and therefore drift — must rise.
-        let mut spread = String::from("<a>");
-        for _ in 0..24 {
-            spread.push_str("<x><q/></x>");
-        }
-        spread.push_str("</a>");
-        let pile = format!("<a>{}</a>", "<x/>".repeat(12));
-        let mut d = Database::load_documents(
-            [("a.xml", spread.as_str())],
-            &SummaryConfig::paper_defaults()
-                .with_grid_size(8)
-                .with_equi_depth(true)
-                .with_policy(xmlest_core::GridPolicy::Slack {
-                    slack_percent: 500,
-                    drift_threshold: 0.0,
-                    auto_refresh: true,
-                }),
-        )
-        .unwrap();
-
-        test_faults::arm(1);
-        // The append commits on the stable path; the auto refresh it
-        // triggers hits the injected rebuild failure.
-        d.add_document("b.xml", &pile).unwrap();
-        assert_eq!(d.document_names(), vec!["a.xml", "b.xml"]);
-        assert_eq!(d.count("//a//x").unwrap(), 36);
-        let s = d.maintenance_stats();
-        assert_eq!(s.stable_appends, 1);
-        assert_eq!(s.failed_auto_refreshes, 1, "failure must be recorded");
-        assert_eq!(s.refreshes, 0);
-        assert!(s.drift > 0.0, "drift persists so a retry can fire");
-
-        // The next mutation retries the refresh and succeeds.
-        d.add_document("c.xml", &pile).unwrap();
-        let s = d.maintenance_stats();
-        assert_eq!(s.auto_refreshes, 1);
-        assert_eq!(s.failed_auto_refreshes, 1);
-        assert_eq!(d.count("//a//x").unwrap(), 48);
     }
 
     #[test]
@@ -2047,76 +1860,6 @@ mod tests {
             before.to_bits()
         );
         assert_eq!(reopened.document_names(), vec!["a.xml", "b.xml"]);
-    }
-
-    /// Repeated auto-refresh failures escalate: strikes accumulate, the
-    /// exponential backoff window absorbs attempts, the degraded flag
-    /// raises at [`DEGRADED_AFTER_STRIKES`], and one successful refresh
-    /// clears it all.
-    #[test]
-    fn failed_refreshes_back_off_and_raise_the_degraded_flag() {
-        let mut spread = String::from("<a>");
-        for _ in 0..24 {
-            spread.push_str("<x><q/></x>");
-        }
-        spread.push_str("</a>");
-        let pile = format!("<a>{}</a>", "<x/>".repeat(6));
-        let mut d = Database::load_documents(
-            [("a.xml", spread.as_str())],
-            &SummaryConfig::paper_defaults()
-                .with_grid_size(8)
-                .with_equi_depth(true)
-                .with_policy(xmlest_core::GridPolicy::Slack {
-                    slack_percent: 2000,
-                    drift_threshold: 0.0,
-                    auto_refresh: true,
-                }),
-        )
-        .unwrap();
-
-        // Arm a losing streak long enough to cross the degraded
-        // threshold, then keep mutating. Backoff windows of 1, 2, 4
-        // mutations open between the attempts, so some mutations must
-        // be recorded as skips rather than failures.
-        test_faults::arm(u32::MAX);
-        let mut mutations = 0u32;
-        loop {
-            d.add_document(format!("d{mutations}.xml"), &pile[..])
-                .unwrap();
-            mutations += 1;
-            let s = d.maintenance_stats();
-            if s.refresh_degraded {
-                break;
-            }
-            assert!(mutations < 64, "degraded flag never raised");
-        }
-        let s = d.maintenance_stats();
-        assert_eq!(s.refresh_strikes, DEGRADED_AFTER_STRIKES);
-        assert_eq!(s.failed_auto_refreshes as u32, s.refresh_strikes);
-        assert!(
-            s.backoff_skips > 0,
-            "backoff windows must absorb some attempts"
-        );
-        assert!(
-            mutations as u64 > s.failed_auto_refreshes,
-            "every mutation paying a doomed rebuild means backoff never engaged"
-        );
-        // Every mutation committed despite the refresh losing streak.
-        assert_eq!(d.document_names().len() as u32, 1 + mutations);
-
-        // Disarm the fault: the next out-of-window mutation refreshes
-        // successfully and clears strikes, window and flag.
-        test_faults::arm(0);
-        let mut extra = 0u32;
-        while d.maintenance_stats().refresh_degraded {
-            d.add_document(format!("e{extra}.xml"), &pile[..]).unwrap();
-            extra += 1;
-            assert!(extra < 16, "successful refresh never cleared the flag");
-        }
-        let s = d.maintenance_stats();
-        assert_eq!(s.refresh_strikes, 0);
-        assert!(!s.refresh_degraded);
-        assert!(s.refreshes >= 1);
     }
 
     /// A flipped byte inside one shard section quarantines just that

@@ -91,7 +91,7 @@ pub mod db;
 pub mod error;
 /// Plan execution against the element index.
 pub mod exec;
-/// Incremental maintenance: appends, removals, drift-tracked refresh.
+/// Incremental maintenance: appends, removals, the on-request refresh.
 pub mod maintenance;
 /// Flattened twigs and structural-join plan enumeration.
 pub mod plan;
@@ -106,7 +106,7 @@ pub mod telemetry;
 
 pub use db::{Database, RepairReport, StoreOpen};
 pub use error::{Error, Result};
-pub use maintenance::{MaintenanceStats, MaintenanceWorker, DEGRADED_AFTER_STRIKES};
+pub use maintenance::{MaintenanceStats, MaintenanceWorker};
 pub use plan::{FlatTwig, Plan, PlanStep};
 pub use planner::{ExplainedPlan, Planner};
 pub use prepared::{CacheStats, CacheTier, LeafResolution, PreparedQuery, TwigId};

@@ -1,13 +1,11 @@
-//! Grid maintenance: drift accounting, the slack-capacity stable-append
-//! path, and the drift-triggered equi-depth refresh.
+//! Grid maintenance: the slack-capacity stable-append path, the
+//! collection rebuild, and the equi-depth refresh the caller asks for.
 //!
 //! The serving view ([`crate::db::Database`]'s merged summaries) lives
 //! on one grid. Historically every collection mutation re-derived that
 //! grid from scratch, which moved the boundaries and re-bucketed every
-//! shard — `add_document` cost O(collection). A grid that never moves
-//! is no better: its equi-depth fit decays as the data distribution
-//! shifts, and accuracy slides toward the uniform-grid regime. This
-//! module is the policy layer that resolves the tension:
+//! shard — `add_document` cost O(collection). This module is the policy
+//! layer that keeps the grid still where it can:
 //!
 //! ```text
 //!        add_document                          remove_document
@@ -26,26 +24,22 @@
 //!     │                            │
 //!     └─────────────┬──────────────┘
 //!                   ▼
-//!   DRIFT TRACKER  (xmlest_core::regrid)
-//!   · per-predicate bucket occupancy of the stored classified
-//!     lists; an append ingests its document, a rebuild recounts
-//!   · drift = skew − baseline-at-derivation
-//!                   │
-//!      drift > threshold?  (auto_refresh)
-//!                   │ yes
-//!                   ▼
-//!   EQUI-DEPTH REFRESH  (Database::refresh_grid)
+//!   EPOCH BUMP → prepared-query cache re-prepares lazily
+//!
+//!        refresh_grid  (only when the caller asks)
+//!             ▼
+//!   EQUI-DEPTH REFRESH
 //!   · recompute boundaries from the classified lists — zero
 //!     tree traversal
 //!   · re-bucket every shard in parallel on the new grid, merge,
 //!     commit in place
-//!                   │
-//!                   ▼
-//!   EPOCH BUMP → prepared-query cache re-prepares lazily; a
-//!   stale-grid plan is never served
+//!             ▼
+//!   EPOCH BUMP → a stale-grid plan is never served
 //! ```
 //!
-//! The refresh re-derives the grid with the same deterministic
+//! Under the slack policy the grid moves only on an overflowing append
+//! or a [`Database::refresh_grid`] call; no mutation refreshes it on its
+//! own. The refresh re-derives the grid with the same deterministic
 //! procedure a cold build uses ([`xmlest_core::shard::make_collection_grid`]
 //! under the same [`GridPolicy`]), so post-refresh estimates are
 //! **bit-identical** to a database built cold on the refreshed
@@ -53,10 +47,10 @@
 //! `grid_maintenance` bench (BENCH_regrid.json) times one slide (append
 //! the next document, remove the oldest) under each policy.
 //!
-//! State lives in two places, both per session: the [`DriftTracker`]
-//! (per-predicate occupancy rows) and the [`MaintenanceCounters`] (how
-//! often each path ran — observability only). Neither is persisted; a
-//! catalog-opened database serves estimates only and starts both empty.
+//! The only maintenance state is the per-session
+//! [`MaintenanceCounters`] (how often each path ran — observability
+//! only). They are not persisted; a catalog-opened database serves
+//! estimates only and starts them at zero.
 
 use crate::db::Database;
 use crate::error::{Error, Result};
@@ -64,19 +58,7 @@ use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::telemetry::Telemetry;
 use std::sync::mpsc;
 use std::sync::Arc;
-use xmlest_core::{DriftTracker, Estimate, GridPolicy};
-
-/// Consecutive auto-refresh failures after which the database raises
-/// its visible degraded flag ([`MaintenanceStats::refresh_degraded`]):
-/// the grid is drifting past the threshold and repeated rebuild
-/// attempts are not fixing it, so accuracy is decaying toward the
-/// stale-grid regime and an operator should look.
-pub const DEGRADED_AFTER_STRIKES: u32 = 3;
-
-/// Cap on the exponential refresh backoff: at most `2^6 = 64` mutations
-/// between retry attempts, so a long outage cannot push the next retry
-/// arbitrarily far away.
-pub(crate) const MAX_BACKOFF_SHIFT: u32 = 6;
+use xmlest_core::{Estimate, GridPolicy};
 
 /// Session counters for the maintenance paths. Monotonic per database
 /// lifetime; not persisted.
@@ -93,59 +75,9 @@ pub(crate) struct MaintenanceCounters {
     pub pinned_rebuilds: u64,
     /// Appends that did not fit in the slack capacity.
     pub overflow_appends: u64,
-    /// Equi-depth refreshes (manual + automatic).
+    /// Equi-depth refreshes ([`Database::refresh_grid`] calls that
+    /// committed).
     pub refreshes: u64,
-    /// Refreshes fired by the drift threshold inside a mutation.
-    pub auto_refreshes: u64,
-    /// Drift-triggered refreshes that failed to rebuild. The mutation
-    /// that hosted them still committed (the database keeps serving on
-    /// the old grid, drift stays high); see
-    /// [`crate::db::Database::add_document`].
-    pub failed_auto_refreshes: u64,
-    /// Drift observed when the last refresh fired.
-    pub last_refresh_drift: f64,
-    /// **Consecutive** auto-refresh failures (reset by any successful
-    /// refresh). Drives the exponential backoff and, at
-    /// [`DEGRADED_AFTER_STRIKES`], the degraded flag.
-    pub refresh_strikes: u32,
-    /// Mutation-clock value before which over-threshold drift does
-    /// *not* trigger another refresh attempt (exponential backoff:
-    /// `2^min(strikes-1, 6)` mutations after a failure).
-    pub refresh_backoff_until: u64,
-    /// Auto-refresh opportunities skipped because the backoff window
-    /// was still open.
-    pub backoff_skips: u64,
-    /// Mutations observed by the auto-refresh hook — the clock the
-    /// backoff window is measured on.
-    pub mutation_clock: u64,
-    /// Raised after [`DEGRADED_AFTER_STRIKES`] consecutive failures;
-    /// cleared by the next successful refresh (auto or manual). While
-    /// set, estimates still serve but on a grid known to be drifting.
-    pub refresh_degraded: bool,
-}
-
-/// The maintenance half of a database: drift accounting plus path
-/// counters.
-#[derive(Debug)]
-pub(crate) struct MaintenanceState {
-    pub tracker: DriftTracker,
-    pub counters: MaintenanceCounters,
-}
-
-impl MaintenanceState {
-    pub(crate) fn new(g: u16) -> Self {
-        MaintenanceState {
-            tracker: DriftTracker::new(g),
-            counters: MaintenanceCounters::default(),
-        }
-    }
-
-    pub(crate) fn with_tracker(tracker: DriftTracker) -> Self {
-        MaintenanceState {
-            tracker,
-            counters: MaintenanceCounters::default(),
-        }
-    }
 }
 
 /// Observability snapshot of the grid maintenance layer: the
@@ -153,19 +85,14 @@ impl MaintenanceState {
 ///
 /// ## Reset contract
 ///
-/// The cumulative path counters (`stable_appends`, `grid_moves`,
-/// `pinned_rebuilds`, `overflow_appends`, `refreshes`, `auto_refreshes`,
-/// `failed_auto_refreshes`, `backoff_skips`) are **monotonic for the
-/// lifetime of the in-process database**: every rebuild — refresh,
-/// removal, overflowing append — commits in place and keeps them, and
-/// no API resets them. A catalog reopen starts them, and the drift
-/// tracker behind the skew and drift gauges, empty (neither is
-/// persisted). Rate them by differencing successive snapshots.
-/// Everything else is a
-/// **gauge / level**: `skew`, `baseline_skew`, `drift`,
-/// `grid_capacity`, `occupied`, `mutations_since_derive`,
-/// `last_refresh_drift` and `refresh_degraded` move both ways, and
-/// `refresh_strikes` drops back to zero on any successful refresh.
+/// The path counters (`stable_appends`, `grid_moves`,
+/// `pinned_rebuilds`, `overflow_appends`, `refreshes`) are **monotonic
+/// for the lifetime of the in-process database**: every rebuild —
+/// refresh, removal, overflowing append — commits in place and keeps
+/// them, and no API resets them. A catalog reopen starts them at zero
+/// (they are not persisted). Rate them by differencing successive
+/// snapshots. `grid_capacity` and `occupied` are levels and move both
+/// ways.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintenanceStats {
     /// The active grid policy.
@@ -175,16 +102,6 @@ pub struct MaintenanceStats {
     pub grid_capacity: u64,
     /// Positions currently occupied (mega-root + every document).
     pub occupied: u64,
-    /// Aggregate bucket-occupancy skew (0 = equi-depth ideal).
-    pub skew: f64,
-    /// Skew recorded when the grid was last derived.
-    pub baseline_skew: f64,
-    /// `max(0, skew − baseline)` — what the threshold compares against.
-    pub drift: f64,
-    /// The policy's refresh threshold, when it has one.
-    pub drift_threshold: Option<f64>,
-    /// Mutations since the grid was last derived.
-    pub mutations_since_derive: u64,
     /// Appends that reused the grid and every existing shard summary.
     pub stable_appends: u64,
     /// Rebuilds that re-derived the grid.
@@ -193,36 +110,14 @@ pub struct MaintenanceStats {
     pub pinned_rebuilds: u64,
     /// Appends that did not fit in the slack capacity.
     pub overflow_appends: u64,
-    /// Equi-depth refreshes (manual + automatic).
+    /// Equi-depth refreshes.
     pub refreshes: u64,
-    /// Refreshes fired by the drift threshold inside a mutation.
-    pub auto_refreshes: u64,
-    /// Drift-triggered refreshes that failed to rebuild; the hosting
-    /// mutation still committed.
-    pub failed_auto_refreshes: u64,
-    /// Drift observed when the last refresh fired.
-    pub last_refresh_drift: f64,
-    /// Consecutive auto-refresh failures (see
-    /// [`MaintenanceCounters::refresh_strikes`]).
-    pub refresh_strikes: u32,
-    /// Auto-refresh opportunities skipped inside a backoff window.
-    pub backoff_skips: u64,
-    /// The database is serving on a drifting grid that repeated
-    /// refresh attempts failed to rebuild
-    /// ([`DEGRADED_AFTER_STRIKES`] consecutive failures). Cleared by
-    /// the next successful refresh.
-    pub refresh_degraded: bool,
 }
 
 impl MaintenanceStats {
     /// Free positions left before an append overflows the grid.
     pub fn slack_remaining(&self) -> u64 {
         self.grid_capacity.saturating_sub(self.occupied)
-    }
-
-    /// Whether the next auto-refresh check would fire.
-    pub fn over_threshold(&self) -> bool {
-        self.drift_threshold.is_some_and(|t| self.drift > t)
     }
 }
 
@@ -370,7 +265,7 @@ impl MaintenanceWorker {
         self.round_trip(|reply| Command::Remove { name, reply })?
     }
 
-    /// Queues a manual equi-depth refresh and blocks until it lands.
+    /// Queues an equi-depth refresh and blocks until it lands.
     pub fn refresh_grid(&self) -> Result<()> {
         self.round_trip(|reply| Command::Refresh { reply })?
     }

@@ -14,9 +14,9 @@
 //! (registry counters, cache hit/miss/eviction totals, stage histogram
 //! counts, `events_total`) is **monotonic for the life of the
 //! database** — nothing resets it; rate consumers diff successive
-//! snapshots. Level gauges (cache population, drift, strike counts,
-//! degraded flags) move in both directions; [`MaintenanceStats`]
-//! documents which of its fields is which.
+//! snapshots. Level gauges (cache population, grid capacity and
+//! occupancy, the degraded flag) move in both directions;
+//! [`MaintenanceStats`] documents which of its fields is which.
 //!
 //! [`TraceReport`] is the latency counterpart of the plan EXPLAIN:
 //! [`crate::Database::estimate_traced`] runs the pipeline
@@ -117,12 +117,8 @@ pub struct Telemetry {
     /// Current epoch (monotonic version of everything estimates derive
     /// from).
     pub epoch: u64,
-    /// `store_degraded || refresh_degraded`.
-    pub degraded: bool,
     /// Serving with quarantined documents from a degraded catalog open.
-    pub store_degraded: bool,
-    /// Auto-refresh struck out ([`MaintenanceStats::refresh_degraded`]).
-    pub refresh_degraded: bool,
+    pub degraded: bool,
     /// Documents quarantined and awaiting repair.
     pub quarantined_shards: usize,
     /// Prepared-query cache section (monotonic counters + population
@@ -147,7 +143,6 @@ impl Telemetry {
     pub(crate) fn gather(
         rec: &Recorder,
         epoch: u64,
-        store_degraded: bool,
         quarantined_shards: usize,
         cache: CacheStats,
         maintenance: MaintenanceStats,
@@ -155,9 +150,7 @@ impl Telemetry {
         let obs = rec.snapshot();
         Telemetry {
             epoch,
-            degraded: store_degraded || maintenance.refresh_degraded,
-            store_degraded,
-            refresh_degraded: maintenance.refresh_degraded,
+            degraded: quarantined_shards > 0,
             quarantined_shards,
             cache,
             maintenance,
@@ -203,7 +196,7 @@ impl Telemetry {
             out.push_str(&c.value.to_string());
             out.push('\n');
         }
-        let gauges: [(&str, &str, u64); 7] = [
+        let gauges: [(&str, &str, u64); 5] = [
             (
                 "xmlest_epoch",
                 "Monotonic version of everything estimates derive from.",
@@ -211,18 +204,8 @@ impl Telemetry {
             ),
             (
                 "xmlest_degraded",
-                "1 when serving degraded (store or refresh).",
-                self.degraded as u64,
-            ),
-            (
-                "xmlest_store_degraded",
                 "1 when serving with quarantined documents.",
-                self.store_degraded as u64,
-            ),
-            (
-                "xmlest_refresh_degraded",
-                "1 when auto-refresh has struck out.",
-                self.refresh_degraded as u64,
+                self.degraded as u64,
             ),
             (
                 "xmlest_quarantined_shards",
@@ -281,8 +264,6 @@ impl Telemetry {
         out.push('{');
         json_u64(&mut out, "epoch", self.epoch);
         json_bool(&mut out, "degraded", self.degraded);
-        json_bool(&mut out, "store_degraded", self.store_degraded);
-        json_bool(&mut out, "refresh_degraded", self.refresh_degraded);
         json_u64(
             &mut out,
             "quarantined_shards",
@@ -307,28 +288,11 @@ impl Telemetry {
         json_str_field(&mut out, "policy", &format!("{:?}", m.policy));
         json_u64(&mut out, "grid_capacity", m.grid_capacity);
         json_u64(&mut out, "occupied", m.occupied);
-        json_f64(&mut out, "skew", m.skew);
-        json_f64(&mut out, "baseline_skew", m.baseline_skew);
-        json_f64(&mut out, "drift", m.drift);
-        match m.drift_threshold {
-            Some(t) => json_f64(&mut out, "drift_threshold", t),
-            None => {
-                out.push_str("\"drift_threshold\":null,");
-            }
-        }
-        json_u64(&mut out, "mutations_since_derive", m.mutations_since_derive);
         json_u64(&mut out, "stable_appends", m.stable_appends);
         json_u64(&mut out, "grid_moves", m.grid_moves);
         json_u64(&mut out, "pinned_rebuilds", m.pinned_rebuilds);
         json_u64(&mut out, "overflow_appends", m.overflow_appends);
-        json_u64(&mut out, "refreshes", m.refreshes);
-        json_u64(&mut out, "auto_refreshes", m.auto_refreshes);
-        json_u64(&mut out, "failed_auto_refreshes", m.failed_auto_refreshes);
-        json_f64(&mut out, "last_refresh_drift", m.last_refresh_drift);
-        json_u64(&mut out, "refresh_strikes", m.refresh_strikes as u64);
-        json_u64(&mut out, "backoff_skips", m.backoff_skips);
-        out.push_str("\"refresh_degraded\":");
-        out.push_str(if m.refresh_degraded { "true" } else { "false" });
+        json_u64_last(&mut out, "refreshes", m.refreshes);
         out.push_str("},");
 
         out.push_str("\"counters\":{");
@@ -413,17 +377,6 @@ fn json_bool(out: &mut String, key: &str, value: bool) {
     json_string(out, key);
     out.push(':');
     out.push_str(if value { "true" } else { "false" });
-    out.push(',');
-}
-
-fn json_f64(out: &mut String, key: &str, value: f64) {
-    json_string(out, key);
-    out.push(':');
-    if value.is_finite() {
-        out.push_str(&format!("{value}"));
-    } else {
-        out.push_str("null");
-    }
     out.push(',');
 }
 

@@ -340,20 +340,9 @@ pub enum EventKind {
     /// A new serving snapshot was published. `a` = frozen prepared
     /// twigs carried, `b` = 1 if the snapshot is degraded.
     SnapshotPublish = 1,
-    /// A summary refresh committed. `a` = documents re-bucketed, `b` =
-    /// pre-refresh drift in millionths.
+    /// A summary refresh committed. `a` = documents re-bucketed; `b` is
+    /// unused (always 0).
     Refresh = 2,
-    /// An automatic refresh attempt failed. `a` = consecutive strike
-    /// count after this failure, `b` = backoff window in mutation
-    /// ticks.
-    RefreshStrike = 3,
-    /// An automatic refresh was skipped because the backoff window is
-    /// still open. `a` = mutation clock, `b` = backoff deadline.
-    BackoffSkip = 4,
-    /// The database entered refresh-degraded mode. `a` = strike count.
-    DegradedEnter = 5,
-    /// A successful refresh cleared refresh-degraded mode.
-    DegradedExit = 6,
     /// A catalog shard failed validation and was quarantined at load.
     /// `a` = quarantined shard ordinal (load order).
     ShardQuarantine = 7,
@@ -369,13 +358,9 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, for exporters and tests.
-    pub const ALL: [EventKind; 10] = [
+    pub const ALL: [EventKind; 6] = [
         EventKind::SnapshotPublish,
         EventKind::Refresh,
-        EventKind::RefreshStrike,
-        EventKind::BackoffSkip,
-        EventKind::DegradedEnter,
-        EventKind::DegradedExit,
         EventKind::ShardQuarantine,
         EventKind::CacheEviction,
         EventKind::StoreSave,
@@ -387,10 +372,6 @@ impl EventKind {
         match self {
             EventKind::SnapshotPublish => "snapshot_publish",
             EventKind::Refresh => "refresh",
-            EventKind::RefreshStrike => "refresh_strike",
-            EventKind::BackoffSkip => "backoff_skip",
-            EventKind::DegradedEnter => "degraded_enter",
-            EventKind::DegradedExit => "degraded_exit",
             EventKind::ShardQuarantine => "shard_quarantine",
             EventKind::CacheEviction => "cache_eviction",
             EventKind::StoreSave => "store_save",

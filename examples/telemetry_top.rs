@@ -6,7 +6,7 @@
 //! Each frame prints throughput (from diffed monotonic counters —
 //! the documented way to turn the telemetry's lifetime totals into
 //! rates), cache hit rates, per-stage latency quantiles, the serving
-//! gauges (epoch, degraded flags, grid occupancy and drift) and the
+//! gauges (epoch, the degraded flag, grid occupancy) and the
 //! tail of the structured event journal. The final frame also dumps
 //! the two exporter formats so their shapes are visible.
 //!
@@ -78,15 +78,12 @@ fn render(frame: usize, dt: Duration, prev: &Telemetry, now: &Telemetry) {
         now.cache.evictions,
     );
     println!(
-        "serving:    degraded={} store_degraded={} refresh_degraded={} quarantined={}  \
-         grid {}/{} occupied, drift {:.3}",
+        "serving:    degraded={} quarantined={}  grid {}/{} occupied, {} grid moves",
         now.degraded,
-        now.store_degraded,
-        now.refresh_degraded,
         now.quarantined_shards,
         now.maintenance.occupied,
         now.maintenance.grid_capacity,
-        now.maintenance.drift,
+        now.maintenance.grid_moves,
     );
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>10} {:>10}",

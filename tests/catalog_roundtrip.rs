@@ -370,8 +370,8 @@ fn assert_v4_estimates(db: &Database, what: &str) {
 
 /// A **version 4** catalog carrying a DRIFT section opens under both
 /// modes with a clean report and estimates to the bits its writer
-/// served. The open walks the section and builds no tracker, so drift
-/// accounting starts empty, and the re-save carries no DRIFT section.
+/// served. The open walks the section and builds nothing from it, and
+/// the re-save carries no DRIFT section.
 #[test]
 fn v4_catalog_fixture_with_drift_keeps_estimates() {
     assert_eq!(&V4_FIXTURE[..4], b"XCTL");
@@ -392,9 +392,6 @@ fn v4_catalog_fixture_with_drift_keeps_estimates() {
             vec!["c.xml", "d.xml", "e.xml", "f.xml"]
         );
         assert_v4_estimates(db, what);
-        let stats = db.telemetry().maintenance;
-        assert_eq!(stats.mutations_since_derive, 0, "{what}");
-        assert_eq!(stats.skew, 0.0, "{what}");
     }
 
     let resaved = strict.save_catalog();
@@ -425,10 +422,6 @@ fn v1_catalog_fixture_opens_with_static_policy() {
         "v1 catalogs default to the static-grid policy"
     );
     assert_eq!(reopened.document_names(), vec!["a.xml", "b.xml"]);
-    // Drift accounting starts fresh (nothing was persisted).
-    let stats = reopened.telemetry().maintenance;
-    assert_eq!(stats.mutations_since_derive, 0);
-    assert_eq!(stats.skew, 0.0);
 
     // The exact collection the fixture was generated from (see
     // CHANGES.md, PR 5): estimates must match a fresh build bit for

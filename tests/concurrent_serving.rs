@@ -46,8 +46,8 @@ fn await_readers(ready: &AtomicUsize, n: usize) {
     }
 }
 
-/// A collection under the slack policy with manual refresh only: every
-/// mutation (and every manual refresh) publishes exactly one epoch, so
+/// A collection under the slack policy: every mutation (and every
+/// refresh) publishes exactly one epoch, so
 /// probing after each one enumerates the complete set of legal
 /// snapshots.
 fn torture_collection() -> Database {
@@ -58,11 +58,7 @@ fn torture_collection() -> Database {
         docs.iter().map(|(n, x)| (n.as_str(), x.as_str())),
         &SummaryConfig::paper_defaults()
             .with_grid_size(8)
-            .with_policy(GridPolicy::Slack {
-                slack_percent: 400,
-                drift_threshold: 0.15,
-                auto_refresh: false,
-            }),
+            .with_policy(GridPolicy::Slack { slack_percent: 400 }),
     )
     .unwrap()
 }
@@ -117,7 +113,7 @@ fn readers_observe_only_legal_epoch_snapshots() {
         await_readers(&ready, 4);
 
         // Drive mutations while the readers hammer the cell: appends,
-        // stable (newest) and interior removals, and manual refreshes.
+        // stable (newest) and interior removals, and refreshes.
         for round in 0..3 {
             for i in 0..3 {
                 worker

@@ -1,12 +1,13 @@
-//! Grid maintenance: the slack-capacity stable-append path, drift
-//! accounting, and the drift-triggered equi-depth refresh.
+//! Grid maintenance: the slack-capacity stable-append path and the
+//! equi-depth refresh the caller asks for.
 //!
 //! The acceptance bars pinned here:
 //! * an `add_document` fitting within the slack re-buckets **zero**
 //!   existing shards (their summary generations are untouched);
-//! * a refresh (manual or drift-triggered) leaves the database
-//!   estimating **bit-identically** to one built cold on the same
-//!   collection — and the refresh never fires below the threshold;
+//! * the grid moves only on an overflowing append or a `refresh_grid`
+//!   call — no mutation refreshes it on its own;
+//! * a refresh leaves the database estimating **bit-identically** to
+//!   one built cold on the same collection;
 //! * cached prepared queries and memoized plans are all re-prepared
 //!   after a refresh: a stale-grid plan is never served.
 
@@ -16,14 +17,9 @@ use xmlest::core::shard::merge_shards_stateful;
 use xmlest::core::{GridPolicy, Summaries, SummaryConfig};
 use xmlest::engine::Database;
 
-/// A slack policy that never auto-fires (drift is in [0,1)), for tests
-/// that drive the refresh manually.
-fn manual_slack() -> GridPolicy {
-    GridPolicy::Slack {
-        slack_percent: 300,
-        drift_threshold: 1.0,
-        auto_refresh: false,
-    }
+/// A slack policy wide enough for every append these tests make.
+fn wide_slack() -> GridPolicy {
+    GridPolicy::Slack { slack_percent: 300 }
 }
 
 fn doc(tag: &str, leaves: usize) -> String {
@@ -38,7 +34,7 @@ fn doc(tag: &str, leaves: usize) -> String {
 fn base_config() -> SummaryConfig {
     SummaryConfig::paper_defaults()
         .with_grid_size(8)
-        .with_policy(manual_slack())
+        .with_policy(wide_slack())
 }
 
 #[test]
@@ -112,11 +108,7 @@ fn overflowing_append_moves_the_grid() {
         [("a.xml", doc("alpha", 4).as_str())],
         &SummaryConfig::paper_defaults()
             .with_grid_size(8)
-            .with_policy(GridPolicy::Slack {
-                slack_percent: 10,
-                drift_threshold: 1.0,
-                auto_refresh: false,
-            }),
+            .with_policy(GridPolicy::Slack { slack_percent: 10 }),
     )
     .unwrap();
     // ~10% slack on a 7-node collection cannot hold a 30-node document.
@@ -179,11 +171,6 @@ fn refresh_matches_cold_build_bit_for_bit() {
         }
         db.refresh_grid().unwrap();
         assert_eq!(db.telemetry().maintenance.refreshes, 1);
-        assert_eq!(
-            db.telemetry().maintenance.drift,
-            0.0,
-            "refresh rebaselines drift"
-        );
 
         // Cold: the same collection built in one shot.
         let cold =
@@ -270,73 +257,11 @@ fn prepared_queries_reprepare_after_refresh() {
     assert!(db.telemetry().cache.invalidations > 0);
 }
 
+/// The policy and grid survive a catalog round trip. The session
+/// counters do not: the reopened database serves estimates only, so it
+/// starts them at zero.
 #[test]
-fn auto_refresh_fires_only_above_threshold() {
-    // Threshold 1.0 is unreachable (drift lives in [0,1)): however the
-    // collection churns, no refresh may fire.
-    let mut never = Database::load_documents(
-        [("a.xml", doc("alpha", 5).as_str())],
-        &SummaryConfig::paper_defaults()
-            .with_grid_size(6)
-            .with_equi_depth(true)
-            .with_policy(GridPolicy::Slack {
-                slack_percent: 500,
-                drift_threshold: 1.0,
-                auto_refresh: true,
-            }),
-    )
-    .unwrap();
-    for i in 0..8 {
-        never
-            .add_document(format!("n{i}.xml"), &doc("alpha", 7))
-            .unwrap();
-    }
-    let stats = never.telemetry().maintenance;
-    assert_eq!(stats.refreshes, 0, "drift {} < 1.0", stats.drift);
-    assert!(stats.drift <= 1.0);
-
-    // A tiny threshold with heavily skewed appends must fire, and every
-    // firing must have been above the threshold.
-    let mut eager = Database::load_documents(
-        [("a.xml", doc("alpha", 5).as_str())],
-        &SummaryConfig::paper_defaults()
-            .with_grid_size(6)
-            .with_equi_depth(true)
-            .with_policy(GridPolicy::Slack {
-                slack_percent: 500,
-                drift_threshold: 0.02,
-                auto_refresh: true,
-            }),
-    )
-    .unwrap();
-    for i in 0..8 {
-        eager
-            .add_document(format!("n{i}.xml"), &doc("beta", 11))
-            .unwrap();
-        let s = eager.telemetry().maintenance;
-        if s.refreshes > 0 {
-            assert!(
-                s.last_refresh_drift > 0.02,
-                "refresh fired at drift {} <= threshold",
-                s.last_refresh_drift
-            );
-        }
-        assert!(
-            s.drift <= 0.02 || s.refreshes == 0,
-            "post-mutation drift {} must be reclaimed by auto refresh",
-            s.drift
-        );
-    }
-    let s = eager.telemetry().maintenance;
-    assert!(s.auto_refreshes > 0, "skewed appends never fired a refresh");
-    assert_eq!(s.auto_refreshes, s.refreshes);
-}
-
-/// The policy and grid survive a catalog round trip. The drift tracker
-/// and the session counters do not: the reopened database serves
-/// estimates only, so it starts them empty.
-#[test]
-fn policy_survives_the_catalog_and_drift_starts_empty() {
+fn policy_survives_the_catalog() {
     let mut db = Database::load_documents(
         [("a.xml", doc("alpha", 6).as_str())],
         &base_config().with_equi_depth(true),
@@ -344,17 +269,13 @@ fn policy_survives_the_catalog_and_drift_starts_empty() {
     .unwrap();
     db.add_document("b.xml", &doc("beta", 4)).unwrap();
     let want = db.telemetry().maintenance;
-    assert!(want.skew > 0.0 && want.mutations_since_derive == 1);
+    assert_eq!(want.stable_appends, 1);
 
     let mut reopened = Database::open_catalog(&db.save_catalog()).unwrap();
     let got = reopened.telemetry().maintenance;
     assert_eq!(got.policy, want.policy);
     assert_eq!(got.grid_capacity, want.grid_capacity);
     assert_eq!(got.occupied, want.occupied);
-    assert_eq!(got.skew, 0.0);
-    assert_eq!(got.baseline_skew, 0.0);
-    assert_eq!(got.drift, 0.0);
-    assert_eq!(got.mutations_since_derive, 0);
     assert_eq!(got.stable_appends, 0);
     assert!(reopened.add_document("c.xml", &doc("gamma", 2)).is_err());
 }
@@ -371,10 +292,11 @@ fn emptied_slack_collection_still_works() {
 }
 
 /// Randomized documents: any tape of appends and removals (the oldest
-/// document included) followed by a manual refresh must land
-/// bit-identical to a cold load of the surviving documents, uniform and
-/// equi-depth alike — and every estimate served along the way must stay
-/// finite.
+/// document included) followed by a refresh must land bit-identical to
+/// a cold load of the surviving documents, uniform and equi-depth alike
+/// — and every estimate served along the way must stay finite. The grid
+/// moves only when asked: no op but an overflowing append changes it,
+/// and the closing `refresh_grid` is the only refresh.
 fn random_doc(shape: &[u8]) -> String {
     const TAGS: [&str; 5] = ["sec", "p", "note", "fig", "refx"];
     let mut xml = String::from("<doc>");
@@ -431,11 +353,7 @@ proptest! {
         let config = SummaryConfig::paper_defaults()
             .with_grid_size(grid)
             .with_equi_depth(equi == 1)
-            .with_policy(GridPolicy::Slack {
-                slack_percent: slack,
-                drift_threshold: 1.0,
-                auto_refresh: false,
-            });
+            .with_policy(GridPolicy::Slack { slack_percent: slack });
 
         let mut db = Database::load_documents(
             docs[..1].iter().map(|(n, x)| (n.as_str(), x.as_str())),
@@ -447,6 +365,8 @@ proptest! {
         // tape never reached are appended after it.
         let mut next = 1usize;
         for &op in ops.iter().chain(std::iter::repeat_n(&0, docs.len())) {
+            let grid_before = db.summaries().grid().clone();
+            let overflows = db.telemetry().maintenance.overflow_appends;
             if op % 2 == 0 {
                 let Some((n, x)) = docs.get(next) else { continue };
                 db.add_document(n.as_str(), x).expect("append");
@@ -466,8 +386,13 @@ proptest! {
             // ("doc" is in every document, so it is always resolvable).
             let est = db.estimate("//doc//doc").expect("estimate");
             prop_assert!(est.value.is_finite() && est.value >= 0.0);
+            if db.telemetry().maintenance.overflow_appends == overflows {
+                prop_assert_eq!(db.summaries().grid(), &grid_before);
+            }
         }
+        prop_assert_eq!(db.telemetry().maintenance.refreshes, 0);
         db.refresh_grid().expect("refresh");
+        prop_assert_eq!(db.telemetry().maintenance.refreshes, 1);
 
         let survivors: Vec<(&str, &str)> = docs
             .iter()
@@ -550,11 +475,7 @@ proptest! {
         let config = SummaryConfig::paper_defaults()
             .with_grid_size(grid)
             .with_equi_depth(equi == 1)
-            .with_policy(GridPolicy::Slack {
-                slack_percent: slack,
-                drift_threshold: 1.0,
-                auto_refresh: false,
-            });
+            .with_policy(GridPolicy::Slack { slack_percent: slack });
 
         let mut db = Database::load_documents(
             docs[..2].iter().map(|(n, x)| (n.as_str(), x.as_str())),

@@ -285,10 +285,9 @@ fn telemetry_reports_cache_maintenance_and_counters() {
     assert_eq!(m.grid_capacity, db.summaries().grid().max_pos() as u64 + 1);
     assert_eq!(m.occupied, db.summaries().tree_nodes());
     assert_eq!(m.refreshes, 0);
-    assert!(!m.refresh_degraded);
 
     assert_eq!(t.epoch, db.epoch());
-    assert!(!t.degraded && !t.store_degraded && !t.refresh_degraded);
+    assert!(!t.degraded);
     assert!(t.recording_enabled, "recording is on by default");
     assert_eq!(t.counter("xmlest_estimates_total"), Some(6));
     assert_eq!(t.counter("xmlest_estimate_errors_total"), Some(0));
@@ -358,8 +357,6 @@ fn exporters_render_the_full_surface() {
     for gauge in [
         "xmlest_epoch",
         "xmlest_degraded",
-        "xmlest_store_degraded",
-        "xmlest_refresh_degraded",
         "xmlest_quarantined_shards",
         "xmlest_cache_entries",
         "xmlest_events_total",
